@@ -14,7 +14,6 @@ from partition_ot import (
     involutions,
     is_self_symmetric,
     measure_of,
-    measure_to_json,
     symmetrize,
     validate_array,
 )
@@ -41,9 +40,9 @@ dec = decompose(plane, sigma)
 print("shared:", len(dec.common), "cells; moved:",
       sorted(dec.source_only), "->", sorted(dec.target_only))
 
-# Measures: one atom of mass 1/n per cell, exact rational weights.
+# Measures: one atom of mass 1/n per cell, so the sorted cells say it all.
 mu = measure_of(validate_array([2, 1], 1))
-print("\nmeasure of (2,1):", measure_to_json(mu))
+print("\nmeasure of (2,1): mass 1/3 on each of", mu)
 
 # The symmetric group acts: composing permutations composes actions.
 s3 = all_permutations(3)

@@ -29,8 +29,8 @@ for kind in ("sq", "l1", "euclid"):
     print(f"  W under {kind}:", wasserstein(a, b, kind))
 
 # The optimal matching under the squared cost, step by step.
-src, dst = measure_of(a).points(), measure_of(b).points()
-c = cost_matrix(measure_of(a), measure_of(b), "sq")
+src, dst = measure_of(a), measure_of(b)
+c = cost_matrix(src, dst, "sq")
 res = solve_assignment(c)
 print("\noptimal matching (sq), total", res.total, "over n =", a.n, "atoms:")
 for i, j in enumerate(res.matching):

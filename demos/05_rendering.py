@@ -17,7 +17,7 @@ flat = validate_array([4, 2], 1)
 swap = Permutation.from_one_line("2 1")
 print("ascii, plain:")
 print(render_ascii(flat))
-print("ascii with the swap highlighted (x = moved, arrows = optimal map):")
+print("ascii with the swap highlighted (x = moved, arrows = candidate sigma-image map):")
 print(render_ascii(flat, swap))
 
 plane = validate_array([[3, 2], [1]], 2)

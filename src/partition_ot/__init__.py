@@ -18,13 +18,7 @@ from .errors import (
     ShapeMismatchError,
     SizeMismatchError,
 )
-from .measures import (
-    DiscreteMeasure,
-    SupportDecomposition,
-    decompose,
-    measure_of,
-    measure_to_json,
-)
+from .measures import SupportDecomposition, decompose, measure_of
 from .partitions import (
     CellSet,
     MultiPartition,

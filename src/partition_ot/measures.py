@@ -2,43 +2,17 @@
 
 A partition of n turns into a probability measure with one atom of mass
 1/n on each diagram cell, placed on the corner of the unit cell closest to
-the origin (the cell tuple itself).  `decompose` splits the cells of a
-partition against those of its permuted image into shared and moved parts.
+the origin (the cell tuple itself).  Every atom has the same mass, so the
+measure is just the sorted tuple of its points.  `decompose` splits the
+cells of a partition against those of its permuted image into shared and
+moved parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partitions import apply_permutation, to_cells
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Finitely many distinct atoms with exact positive weights summing to 1."""
-
-    dimension: int
-    atoms: tuple  # ((point, Fraction), ...)
-
-    def __post_init__(self):
-        points = [pt for pt, _ in self.atoms]
-        if len(set(points)) != len(points):
-            raise ValueError("atom points must be pairwise distinct")
-        if any(len(pt) != self.dimension for pt in points):
-            raise ValueError(f"atom points must have {self.dimension} coordinates")
-        if any(w <= 0 for _, w in self.atoms):
-            raise ValueError("atom weights must be positive")
-        total = sum((w for _, w in self.atoms), Fraction(0))
-        if total != 1:
-            raise ValueError(f"atom weights must sum to 1, got {total}")
-
-    @property
-    def support(self):
-        return frozenset(pt for pt, _ in self.atoms)
-
-    def points(self):
-        return tuple(pt for pt, _ in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -56,14 +30,13 @@ class SupportDecomposition:
 
 
 def measure_of(p):
-    """Uniform measure with one atom of mass 1/n per diagram cell of p.
+    """Uniform measure of p: its diagram cells as a sorted tuple.
 
-    Atoms are listed in sorted point order, which fixes the row and column
-    indexing used by cost matrices and plans downstream.
+    Every cell carries mass 1/n, so the points alone describe the measure.
+    Their sorted order fixes the row and column indexing used by cost
+    matrices and plans downstream.
     """
-    cells = sorted(to_cells(p).cells)
-    w = Fraction(1, p.n)
-    return DiscreteMeasure(dimension=p.m + 1, atoms=tuple((c, w) for c in cells))
+    return tuple(sorted(to_cells(p).cells))
 
 
 def decompose(p, sigma):
@@ -82,13 +55,3 @@ def decompose(p, sigma):
         target_only=frozenset(dst.cells - common),
     )
 
-
-def measure_to_json(mu):
-    """Debug output form with exact weights."""
-    return {
-        "dimension": mu.dimension,
-        "atoms": [
-            {"point": list(pt), "num": w.numerator, "den": w.denominator}
-            for pt, w in mu.atoms
-        ],
-    }

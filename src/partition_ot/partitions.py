@@ -194,7 +194,13 @@ def to_json(p):
 
 
 def from_json(doc):
-    return validate_array(doc["entries"], int(doc["m"]))
+    """Inverse of `to_json`; m must be a JSON integer."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"partition JSON must be an object, got {type(doc).__name__}")
+    m = doc["m"]
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"dimension m must be an integer, got {m!r}")
+    return validate_array(doc["entries"], m)
 
 
 def _has_length(obj):

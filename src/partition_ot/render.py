@@ -2,7 +2,8 @@
 
 ascii is available for m=1, SVG and TikZ for m in {1, 2}.  Passing a
 permutation highlights the support split: shared cells in purple, moved
-cells in orange, and (for m=1) annotates the arrows of the optimal map.
+cells in orange, and (for m=1) arrows of the candidate map sending each
+moved cell to its sigma-image, which need not be an optimal map.
 Identical inputs always produce identical bytes.
 """
 
@@ -62,7 +63,7 @@ def render_ascii(p, sigma=None):
     """Rows of '#', largest row first.
 
     With a permutation, moved cells print as 'x' and each gets an arrow
-    line showing where the optimal map sends it.
+    line to its sigma-image, the candidate map (not always optimal).
     """
     if sigma is None:
         return "\n".join("#" * part for part in p.entries) + "\n"

@@ -21,20 +21,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegerCostsError
-from .measures import decompose, measure_of
-from .partitions import (
-    enumerate_partitions,
-    is_self_symmetric,
-    symmetrize,
-    to_cells,
-    _listify,
-)
+from .errors import NonIntegerCostsError, SizeMismatchError
+from .measures import measure_of
+from .partitions import enumerate_partitions, to_json
 from .transport import (
     EUCLIDEAN,
     SQUARED_EUCLIDEAN,
     cost_matrix,
-    wasserstein,
+    solve_assignment,
+    wasserstein,  # unused here; bench/test_bench.py pins this binding
 )
 
 
@@ -86,23 +81,7 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
     """
-    if kind == EUCLIDEAN:
-        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
-    sym = symmetrize(p, sigma)
-    dec = decompose(p, sigma)
-    optimal = wasserstein(p, sym, kind)
-    moved_images = {sigma.apply_to_cell(c) for c in dec.source_only}
-    if moved_images != dec.target_only:
-        return HybridPlanResult(False, None, optimal, False, None)
-    src = sorted(to_cells(p).cells)
-    dst_index = {cell: k for k, cell in enumerate(sorted(to_cells(sym).cells))}
-    matching = tuple(
-        dst_index[cell if cell in dec.common else sigma.apply_to_cell(cell)]
-        for cell in src
-    )
-    c = cost_matrix(measure_of(p), measure_of(sym), kind)
-    cost = Fraction(sum(c.values[i][matching[i]] for i in range(p.n)), p.n)
-    return HybridPlanResult(True, cost, optimal, cost == optimal, matching)
+    return _hybrid(measure_of(p), sigma, kind)
 
 
 def verify_theorem_main(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None):
@@ -112,47 +91,7 @@ def verify_theorem_main(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None
     candidate is invalid or suboptimal; for non-involutive sigma the same
     conditions are tallied separately as findings.
     """
-    sigmas = tuple(sigmas)
-    records = []
-    violations = 0
-    findings = 0
-    for n in range(1, n_max + 1):
-        for p in enumerate_partitions(m, n, max_cells=max_cells):
-            for sigma in sigmas:
-                res = hybrid_plan(p, sigma, kind)
-                involution = sigma.is_involution()
-                bad = not (res.valid and res.matches_optimum)
-                violation = involution and bad
-                if violation:
-                    violations += 1
-                if bad and not involution:
-                    findings += 1
-                records.append(
-                    {
-                        "theorem": "main",
-                        "m": m,
-                        "n": n,
-                        "partition": _listify(p.entries),
-                        "sigma": list(sigma.images),
-                        "involution": involution,
-                        "hybrid_valid": res.valid,
-                        "hybrid_cost": _frac_json(res.cost),
-                        "optimal_cost": _frac_json(res.optimal_cost),
-                        "matches_optimum": res.matches_optimum,
-                        "violation": violation,
-                    }
-                )
-    summary = {
-        "theorem": "main",
-        "m": m,
-        "n_max": n_max,
-        "kind": kind,
-        "sigmas": [list(s.images) for s in sigmas],
-        "records": len(records),
-        "violations": violations,
-        "noninvolutive_findings": findings,
-    }
-    return SweepReport("main", m, n_max, sigmas, kind, tuple(records), summary)
+    return _sweep("main", m, n_max, sigmas, kind, max_cells, _main_record, _main_counts)
 
 
 def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None):
@@ -160,51 +99,124 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
 
     Checks (distance == 0) <=> (diagram fixed by sigma) for every instance.
     The zero side is decided exactly for every kind: integer kinds compare
-    the rational value, "euclid" falls back to the integer squared costs,
-    which vanish on exactly the same matchings.
+    the rational value, "euclid" sums the integer squared costs over the
+    solver's matching, which vanish on exactly the same matchings.
+    """
+    return _sweep("cor", m, n_max, sigmas, kind, max_cells, _cor_record, _cor_counts)
+
+
+def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
+    """Run one claim over every (partition, sigma) instance up to n_max.
+
+    `record(src, sigma, kind)` returns the claim's fields for one instance,
+    where `src` is the partition's measure, built once and shared by every
+    sigma; `counts(records)` returns the claim's extra summary counts.
     """
     sigmas = tuple(sigmas)
     records = []
-    violations = 0
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(m, n, max_cells=max_cells):
+            src = measure_of(p)
+            entries = to_json(p)["entries"]
             for sigma in sigmas:
-                sym = symmetrize(p, sigma)
-                self_symmetric = is_self_symmetric(p, sigma)
-                w = wasserstein(p, sym, kind)
-                if kind == EUCLIDEAN:
-                    w_zero = wasserstein(p, sym, SQUARED_EUCLIDEAN) == 0
-                    w_json = w
-                else:
-                    w_zero = w == 0
-                    w_json = _frac_json(w)
-                violation = w_zero != self_symmetric
-                if violation:
-                    violations += 1
                 records.append(
                     {
-                        "theorem": "cor",
+                        "theorem": theorem,
                         "m": m,
                         "n": n,
-                        "partition": _listify(p.entries),
+                        "partition": entries,
                         "sigma": list(sigma.images),
-                        "w": w_json,
-                        "w_zero": w_zero,
-                        "self_symmetric": self_symmetric,
-                        "violation": violation,
+                        **record(src, sigma, kind),
                     }
                 )
     summary = {
-        "theorem": "cor",
+        "theorem": theorem,
         "m": m,
         "n_max": n_max,
         "kind": kind,
         "sigmas": [list(s.images) for s in sigmas],
         "records": len(records),
-        "violations": violations,
-        "self_symmetric_count": sum(1 for r in records if r["self_symmetric"]),
+        "violations": sum(r["violation"] for r in records),
+        **counts(records),
     }
-    return SweepReport("cor", m, n_max, sigmas, kind, tuple(records), summary)
+    return SweepReport(theorem, m, n_max, sigmas, kind, tuple(records), summary)
+
+
+def _main_record(src, sigma, kind):
+    res = _hybrid(src, sigma, kind)
+    involution = sigma.is_involution()
+    return {
+        "involution": involution,
+        "hybrid_valid": res.valid,
+        "hybrid_cost": _frac_json(res.cost),
+        "optimal_cost": _frac_json(res.optimal_cost),
+        "matches_optimum": res.matches_optimum,
+        "violation": involution and not res.matches_optimum,
+    }
+
+
+def _main_counts(records):
+    # An invalid candidate never matches the optimum, so a record is bad
+    # exactly when it does not match.
+    findings = sum(not (r["involution"] or r["matches_optimum"]) for r in records)
+    return {"noninvolutive_findings": findings}
+
+
+def _cor_record(src, sigma, kind):
+    dst, c, res = _solve(src, sigma, kind)
+    if kind == EUCLIDEAN:
+        w_zero = sum(c.exact_squared[i][j] for i, j in enumerate(res.matching)) == 0
+        w_json = res.total / len(src)
+    else:
+        w = Fraction(res.total, len(src))
+        w_zero = w == 0
+        w_json = _frac_json(w)
+    self_symmetric = dst == src
+    return {
+        "w": w_json,
+        "w_zero": w_zero,
+        "self_symmetric": self_symmetric,
+        "violation": w_zero != self_symmetric,
+    }
+
+
+def _cor_counts(records):
+    return {"self_symmetric_count": sum(r["self_symmetric"] for r in records)}
+
+
+def _hybrid(src, sigma, kind):
+    """hybrid_plan on the measure `src` of a partition."""
+    if kind == EUCLIDEAN:
+        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
+    dst, c, res = _solve(src, sigma, kind)
+    n = len(src)
+    optimal = Fraction(res.total, n)
+    # Shared cells stay; every other cell goes to its image, which always
+    # lies in dst.  The candidate is a bijection when no two cells collide.
+    dst_index = {cell: j for j, cell in enumerate(dst)}
+    matching = tuple(
+        dst_index[cell if cell in dst_index else sigma.apply_to_cell(cell)]
+        for cell in src
+    )
+    if len(set(matching)) != n:
+        return HybridPlanResult(False, None, optimal, False, None)
+    cost = Fraction(sum(c.values[i][j] for i, j in enumerate(matching)), n)
+    return HybridPlanResult(True, cost, optimal, cost == optimal, matching)
+
+
+def _solve(src, sigma, kind):
+    """Image, cost matrix and optimal assignment of one (p, sigma) instance.
+
+    `src` is the measure of p; the image `dst` is the measure of p's
+    sigma-permuted diagram.
+    """
+    if sigma.size != len(src[0]):
+        raise SizeMismatchError(
+            f"permutation of size {sigma.size} cannot act on {len(src[0])} coordinates"
+        )
+    dst = tuple(sorted(sigma.apply_to_cell(cell) for cell in src))
+    c = cost_matrix(src, dst, kind)
+    return dst, c, solve_assignment(c)
 
 
 def format_summary(report):

@@ -53,7 +53,7 @@ def l1_distance(a, b):
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Pairwise costs between a source and a target atom list.
+    """Pairwise costs between a source and a target point list.
 
     `values` holds exact non-negative integers for the "sq" and "l1" kinds
     and floats for "euclid"; in the latter case `exact_squared` keeps the
@@ -78,20 +78,22 @@ class CostMatrix:
 
 
 def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
-    """Costs between all atom pairs of two measures of equal dimension."""
+    """Costs between all pairs of two point tuples of equal dimension.
+
+    Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
+    """
     if kind not in COST_KINDS:
         raise ValueError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
-    if src.dimension != dst.dimension:
+    if src and dst and len(src[0]) != len(dst[0]):
         raise DimensionMismatchError(
-            f"source dimension {src.dimension} != target dimension {dst.dimension}"
+            f"source dimension {len(src[0])} != target dimension {len(dst[0])}"
         )
-    sp, dp = src.points(), dst.points()
     if kind == L1:
         return CostMatrix(
             kind=kind,
-            values=tuple(tuple(l1_distance(a, b) for b in dp) for a in sp),
+            values=tuple(tuple(l1_distance(a, b) for b in dst) for a in src),
         )
-    sq = tuple(tuple(squared_distance(a, b) for b in dp) for a in sp)
+    sq = tuple(tuple(squared_distance(a, b) for b in dst) for a in src)
     if kind == SQUARED_EUCLIDEAN:
         return CostMatrix(kind=kind, values=sq)
     floats = tuple(tuple(math.sqrt(v) for v in row) for row in sq)

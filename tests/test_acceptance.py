@@ -121,10 +121,10 @@ def test_criterion_3_wasserstein_target_values():
     w_plane = wasserstein(pl, pl_sym)
     elapsed = time.perf_counter() - start
     oracle_flat = Fraction(
-        bruteforce_matching_total(measure_of(a).points(), measure_of(b).points(), sq), 6
+        bruteforce_matching_total(measure_of(a), measure_of(b), sq), 6
     )
     oracle_plane = Fraction(
-        bruteforce_matching_total(measure_of(pl).points(), measure_of(pl_sym).points(), sq), 6
+        bruteforce_matching_total(measure_of(pl), measure_of(pl_sym), sq), 6
     )
     # (2,0)->(0,2) and (3,0)->(0,3) cost 8 + 18 = 26, so the candidate is 26/6.
     candidate = Fraction(candidate_matching_total(cells_of_entries([4, 2], 1), (2, 1), sq), 6)
@@ -177,7 +177,7 @@ def has_cheaper_witness(record):
     m, images = record["m"], tuple(record["sigma"])
     p = validate_array(record["partition"], m)
     mu, nu = measure_of(p), measure_of(symmetrize(p, Permutation(images)))
-    src, dst = mu.points(), nu.points()
+    src, dst = mu, nu
     cells = cells_of_entries(record["partition"], m)
     if list(src) != cells or sorted(dst) != sorted(
         permute_coordinates(c, images) for c in cells
@@ -259,8 +259,8 @@ def test_criterion_7_optimal_supports_cyclically_monotone():
     checked = 0
     for m, n_max in ((1, 8), (2, 6)):
         for p, sym, _ in sigma_pairs(m, n_max, involutions(m + 1)):
-            src = measure_of(p).points()
-            dst = measure_of(sym).points()
+            src = measure_of(p)
+            dst = measure_of(sym)
             res = solve_assignment(cost_matrix(measure_of(p), measure_of(sym)))
             pairs = [(src[i], dst[res.matching[i]]) for i in range(p.n)]
             monotone, witness = is_c_cyclically_monotone(pairs, "sq", 3)

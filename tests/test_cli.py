@@ -97,6 +97,24 @@ def test_symmetrize_bad_sigma(capsys, p42):
     assert cli.main(["symmetrize", p42, "--sigma", "1 2 3"]) == 2  # size mismatch
 
 
+def test_symmetrize_rejects_non_object_document(capsys, tmp_path):
+    path = write_partition(tmp_path, "array.json", [1, 2])
+    assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "object" in err
+
+
+@pytest.mark.parametrize("m", [1.7, True, "1"])
+def test_symmetrize_rejects_non_integer_dimension(capsys, tmp_path, m):
+    path = write_partition(tmp_path, "bad_m.json", {"m": m, "entries": [2, 1]})
+    assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "dimension m must be an integer" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # wasserstein
 
@@ -201,6 +219,17 @@ def test_verify_solver_mode(capsys):
 
 def test_verify_requires_m_and_nmax(capsys):
     assert cli.main(["verify", "--theorem", "cor"]) == 2
+
+
+@pytest.mark.parametrize("theorem", ["main", "cor"])
+def test_verify_wrong_size_sigma(capsys, theorem):
+    argv = ["verify", "--theorem", theorem, "--m", "2", "--n-max", "3", "--sigma", "2 1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: permutation of size 2 cannot act on 3 coordinates\n"
+    )
 
 
 def test_verify_guard(capsys):

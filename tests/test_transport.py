@@ -47,8 +47,8 @@ def pair_measures(a, b, kind="sq"):
 
 def test_squared_cost_values():
     c = pair_measures(P42, P2211)
-    src = measure_of(P42).points()
-    dst = measure_of(P2211).points()
+    src = measure_of(P42)
+    dst = measure_of(P2211)
     i, j = src.index((2, 0)), dst.index((0, 2))
     assert c.values[i][j] == 8
     i, j = src.index((3, 0)), dst.index((0, 3))
@@ -65,15 +65,15 @@ def test_zero_diagonal_on_identical_measures():
 
 def test_plane_cell_pair_cost():
     c = pair_measures(PLANE, PLANE_SYM)
-    i = measure_of(PLANE).points().index((1, 0, 1))
-    j = measure_of(PLANE_SYM).points().index((1, 1, 0))
+    i = measure_of(PLANE).index((1, 0, 1))
+    j = measure_of(PLANE_SYM).index((1, 1, 0))
     assert c.values[i][j] == 2
 
 
 def test_l1_and_euclid_kinds():
     c1 = pair_measures(P42, P2211, "l1")
-    src = measure_of(P42).points()
-    dst = measure_of(P2211).points()
+    src = measure_of(P42)
+    dst = measure_of(P2211)
     i, j = src.index((2, 0)), dst.index((0, 2))
     assert c1.values[i][j] == 4
     ce = pair_measures(P42, P2211, "euclid")
@@ -159,8 +159,8 @@ def test_euclid_solver_is_flagged_and_close():
     c = pair_measures(P42, P2211, "euclid")
     res = solve_assignment(c)
     assert not res.exact
-    src = measure_of(P42).points()
-    dst = measure_of(P2211).points()
+    src = measure_of(P42)
+    dst = measure_of(P2211)
     oracle = bruteforce_matching_total(
         src, dst, lambda a, b: math.dist(a, b)
     )
@@ -177,7 +177,7 @@ def test_euclid_solver_is_flagged_and_close():
 
 def test_wasserstein_flat_pair():
     assert wasserstein(P42, P2211) == Fraction(7, 3)
-    src, dst = measure_of(P42).points(), measure_of(P2211).points()
+    src, dst = measure_of(P42), measure_of(P2211)
     oracle = bruteforce_matching_total(
         src, dst, lambda a, b: sum((x - y) ** 2 for x, y in zip(a, b))
     )
@@ -278,8 +278,8 @@ def test_plan_cost_zero_on_identity():
 def test_plan_cost_of_reflection_plan():
     # the fix-shared-cells/reflect-the-rest plan costs 26/6 = 13/3 under sq,
     # strictly above the optimal 7/3
-    src = measure_of(P42).points()
-    dst = measure_of(P2211).points()
+    src = measure_of(P42)
+    dst = measure_of(P2211)
     image = {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 1),
              (2, 0): (0, 2), (3, 0): (0, 3)}
     matching = tuple(dst.index(image[pt]) for pt in src)
@@ -291,7 +291,7 @@ def test_plan_cost_of_reflection_plan():
 def test_plan_cost_positive_on_self_symmetric_rotation():
     # applying the swap everywhere on a fixed diagram costs 4/3; optimum is 0
     p21 = validate_array([2, 1], 1)
-    src = measure_of(p21).points()
+    src = measure_of(p21)
     matching = tuple(src.index(SWAP.apply_to_cell(pt)) for pt in src)
     cost = plan_cost(plan_of_matching(matching, 3), pair_measures(p21, p21))
     assert cost == Fraction(4, 3)
@@ -358,7 +358,7 @@ def test_optimal_plan_supports_are_monotone():
         parts = enumerate_partitions(1, n)
         for a in parts:
             for b in parts:
-                src, dst = measure_of(a).points(), measure_of(b).points()
+                src, dst = measure_of(a), measure_of(b)
                 res = solve_assignment(pair_measures(a, b))
                 pairs = [(src[i], dst[res.matching[i]]) for i in range(n)]
                 ok, witness = is_c_cyclically_monotone(pairs, "sq", 3)
