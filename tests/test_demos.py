@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 def test_demos_are_found():
-    assert len(DEMOS) == 5
+    assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
