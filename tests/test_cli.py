@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,11 @@ def p2211(tmp_path):
 @pytest.fixture
 def plane(tmp_path):
     return write_partition(tmp_path, "plane.json", {"m": 2, "entries": [[3, 2], [1]]})
+
+
+@pytest.fixture
+def plane_sym(tmp_path):
+    return write_partition(tmp_path, "plane_sym.json", {"m": 2, "entries": [[3, 1], [2]]})
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,32 @@ def test_symmetrize_rejects_non_integer_dimension(capsys, tmp_path, m):
 
 # ---------------------------------------------------------------------------
 # wasserstein
+
+
+# sha256 of the full stdout of `wasserstein <a> <b> <flags>`; each exits 0.
+WASSERSTEIN_PINS = [
+    ("p42", "p2211", "--certify --plan",
+     "9f51e31a913d35b53f70d58d067e701da84efd2c9f6ee78b7bbeef9449ec236c"),
+    ("p42", "p2211", "--certify --plan --cost l1",
+     "e367432be6b3982a88f08a690bb880e28916ddd1692160aa6ecd8c4ec9be3a2c"),
+    ("p42", "p2211", "--certify --cost euclid",
+     "53602f70ee14598694a706d61cd09faf6082361f4cb227740770fdd50977100d"),
+    ("plane", "plane_sym", "--certify --plan",
+     "f9277bdf9956347e00c2a0e54ce321af2435028183669d648bd375451e77eeca"),
+]
+
+
+@pytest.mark.parametrize(
+    "a,b,flags,digest",
+    WASSERSTEIN_PINS,
+    ids=["-".join([a, b] + [f.lstrip("-") for f in flags.split()])
+         for a, b, flags, _ in WASSERSTEIN_PINS],
+)
+def test_wasserstein_output_bytes(capsys, request, a, b, flags, digest):
+    argv = ["wasserstein", request.getfixturevalue(a), request.getfixturevalue(b)]
+    assert cli.main(argv + flags.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_wasserstein_value(capsys, p42, p2211):
