@@ -13,7 +13,6 @@ from partition_ot import (
     is_c_cyclically_monotone,
     measure_of,
     plan_cost,
-    plan_of_matching,
     solve_assignment,
     solve_bruteforce,
     symmetrize,
@@ -41,9 +40,8 @@ for i, j in enumerate(res.matching):
 reflect = {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 1),
            (2, 0): (0, 2), (3, 0): (0, 3)}
 matching = tuple(dst.index(reflect[p]) for p in src)
-plan = plan_of_matching(matching, a.n)
-print("\nreflection plan cost:", plan_cost(plan, c), " vs optimum:",
-      wasserstein(a, b))
+print("\nreflection plan cost:", plan_cost(matching, c), " vs optimum:",
+      plan_cost(res.matching, c))
 
 # hybrid_plan packages that comparison: fix shared cells, permute the rest.
 h = hybrid_plan(a, Permutation.from_one_line("2 1"))

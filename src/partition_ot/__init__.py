@@ -63,17 +63,15 @@ from .transport import (
     SQUARED_EUCLIDEAN,
     AssignmentResult,
     CostMatrix,
-    ExactRational,
-    TransportPlan,
     cost_matrix,
     integer_cost_matrix,
     is_c_cyclically_monotone,
     l1_distance,
     plan_cost,
-    plan_of_matching,
     plan_to_json,
     solve_assignment,
     solve_bruteforce,
+    solve_transport,
     squared_distance,
     wasserstein,
     wasserstein_is_zero,

@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, PartitionOTError
-from .measures import measure_of
 from .partitions import (
     Permutation,
     all_permutations,
@@ -32,13 +31,13 @@ from .transport import (
     COST_KINDS,
     EUCLIDEAN,
     SQUARED_EUCLIDEAN,
-    cost_matrix,
     integer_cost_matrix,
-    plan_of_matching,
+    plan_cost,
     plan_to_json,
     solve_assignment,
     solve_bruteforce,
-    wasserstein,
+    solve_transport,
+    wasserstein,  # unused here; bench/test_bench.py pins this binding
 )
 
 EXIT_OK = 0
@@ -48,15 +47,12 @@ EXIT_VERIFY = 3
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    common.add_argument("--out", default=None, help="write primary output to this path")
+    costed = argparse.ArgumentParser(add_help=False)
+    costed.add_argument(
         "--cost", choices=COST_KINDS, default=SQUARED_EUCLIDEAN,
         help="transport cost kind (default: sq)",
     )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for the random-matrix solver check (verify --theorem solver)",
-    )
-    common.add_argument("--out", default=None, help="write primary output to this path")
 
     parser = argparse.ArgumentParser(
         prog="partition-ot",
@@ -87,22 +83,19 @@ def build_parser():
     )
 
     p_w = sub.add_parser(
-        "wasserstein", parents=[common], help="exact transport distance"
+        "wasserstein", parents=[common, costed], help="exact transport distance"
     )
     p_w.add_argument("a", help="partition JSON file")
     p_w.add_argument("b", help="partition JSON file")
     p_w.add_argument("--plan", action="store_true", help="also emit the optimal plan JSON")
     p_w.add_argument(
         "--certify", action="store_true",
-        help="cross-check the solver against the exhaustive oracle",
-    )
-    p_w.add_argument(
-        "--oracle-max", type=int, default=BRUTE_FORCE_MAX,
-        help="largest n the exhaustive oracle will accept",
+        help="cross-check the solver against the exhaustive oracle "
+        f"(skipped above n={BRUTE_FORCE_MAX})",
     )
 
     p_v = sub.add_parser(
-        "verify", parents=[common], help="exhaustive verification sweeps"
+        "verify", parents=[common, costed], help="exhaustive verification sweeps"
     )
     p_v.add_argument(
         "--theorem", choices=("main", "cor", "solver"), required=True,
@@ -124,6 +117,9 @@ def build_parser():
     )
     p_v.add_argument(
         "--size", type=int, default=6, help="matrix size for --theorem solver"
+    )
+    p_v.add_argument(
+        "--seed", type=int, default=0, help="random-matrix seed for --theorem solver"
     )
 
     p_r = sub.add_parser("render", parents=[common], help="draw a diagram")
@@ -149,7 +145,7 @@ def main(argv=None):
     try:
         return handler(args)
     except InstanceTooLargeError as exc:
-        print(f"error: {exc} (see --max-cells / --oracle-max)", file=sys.stderr)
+        print(f"error: {exc} (see --max-cells)", file=sys.stderr)
         return EXIT_INPUT
     except (PartitionOTError, UnsupportedRenderError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -186,15 +182,15 @@ def cmd_symmetrize(args):
 def cmd_wasserstein(args):
     a = _read_partition(args.a)
     b = _read_partition(args.b)
-    value = wasserstein(a, b, args.cost)
+    c, res = solve_transport(a, b, args.cost)
+    value = plan_cost(res.matching, c)
     if isinstance(value, Fraction):
         lines = [f"{value.numerator}/{value.denominator} ({float(value):.12g})"]
     else:
         lines = [f"{value:.12g}"]
     if args.certify:
-        if a.n <= args.oracle_max:
-            c = cost_matrix(measure_of(a), measure_of(b), args.cost)
-            if solve_bruteforce(c).total != solve_assignment(c).total:
+        if a.n <= BRUTE_FORCE_MAX:
+            if solve_bruteforce(c).total != res.total:
                 print(
                     "certify: solver disagrees with the exhaustive oracle",
                     file=sys.stderr,
@@ -203,15 +199,13 @@ def cmd_wasserstein(args):
             lines.append("certified: exhaustive oracle agrees")
         else:
             print(
-                f"certify skipped: n={a.n} above --oracle-max={args.oracle_max}",
+                f"certify skipped: n={a.n} above the oracle limit {BRUTE_FORCE_MAX}",
                 file=sys.stderr,
             )
     if args.plan:
         if args.cost == EUCLIDEAN:
             raise ValueError("--plan needs an exact cost kind (sq or l1)")
-        res = solve_assignment(cost_matrix(measure_of(a), measure_of(b), args.cost))
-        plan = plan_of_matching(res.matching, a.n)
-        lines.append(_compact(plan_to_json(plan, Fraction(res.total, a.n))))
+        lines.append(_compact(plan_to_json(res.matching, value)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

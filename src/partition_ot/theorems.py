@@ -28,6 +28,7 @@ from .transport import (
     EUCLIDEAN,
     SQUARED_EUCLIDEAN,
     cost_matrix,
+    plan_cost,
     solve_assignment,
     wasserstein,  # unused here; bench/test_bench.py pins this binding
 )
@@ -164,11 +165,11 @@ def _main_counts(records):
 
 def _cor_record(src, sigma, kind):
     dst, c, res = _solve(src, sigma, kind)
+    w = plan_cost(res.matching, c)
     if kind == EUCLIDEAN:
         w_zero = sum(c.exact_squared[i][j] for i, j in enumerate(res.matching)) == 0
-        w_json = res.total / len(src)
+        w_json = w
     else:
-        w = Fraction(res.total, len(src))
         w_zero = w == 0
         w_json = _frac_json(w)
     self_symmetric = dst == src
@@ -189,8 +190,7 @@ def _hybrid(src, sigma, kind):
     if kind == EUCLIDEAN:
         raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
     dst, c, res = _solve(src, sigma, kind)
-    n = len(src)
-    optimal = Fraction(res.total, n)
+    optimal = plan_cost(res.matching, c)
     # Shared cells stay; every other cell goes to its image, which always
     # lies in dst.  The candidate is a bijection when no two cells collide.
     dst_index = {cell: j for j, cell in enumerate(dst)}
@@ -198,9 +198,9 @@ def _hybrid(src, sigma, kind):
         dst_index[cell if cell in dst_index else sigma.apply_to_cell(cell)]
         for cell in src
     )
-    if len(set(matching)) != n:
+    if len(set(matching)) != len(src):
         return HybridPlanResult(False, None, optimal, False, None)
-    cost = Fraction(sum(c.values[i][j] for i, j in enumerate(matching)), n)
+    cost = plan_cost(matching, c)
     return HybridPlanResult(True, cost, optimal, cost == optimal, matching)
 
 

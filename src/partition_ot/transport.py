@@ -28,8 +28,6 @@ from .errors import (
 )
 from .measures import measure_of
 
-ExactRational = Fraction
-
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
 L1 = "l1"
@@ -150,9 +148,7 @@ def solve_bruteforce(c):
         raise NotSquareError(f"cost matrix is {c.rows}x{c.cols}")
     n = c.rows
     if n > BRUTE_FORCE_MAX:
-        raise InstanceTooLargeError(
-            f"brute force refuses n={n} > {BRUTE_FORCE_MAX} (raise the oracle-max limit)"
-        )
+        raise InstanceTooLargeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX}")
     best = None
     best_perm = None
     for perm in itertools.permutations(range(n)):
@@ -229,23 +225,35 @@ def _hungarian(costs):
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distances and plans
+#
+# Uniform 1/n marginals make every optimal plan a permutation matrix, so a
+# plan is just the solver's matching: row i sends mass 1/n to column
+# matching[i].
 
 
-def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
-    """Minimum transport cost between the diagram measures of two partitions.
+def solve_transport(a, b, kind=SQUARED_EUCLIDEAN):
+    """Cost matrix and optimal assignment between the diagrams of a and b.
 
-    Returns an exact Fraction for the integer cost kinds (the assignment
-    total divided by n) and a float for "euclid".
+    This one solve fixes everything about a query: the distance, the plan
+    and any check of the solver against the oracle.
     """
     if a.m != b.m or a.n != b.n:
         raise ShapeMismatchError(
             f"cannot transport between (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
         )
-    res = solve_assignment(cost_matrix(measure_of(a), measure_of(b), kind))
-    if res.exact:
-        return Fraction(res.total, a.n)
-    return res.total / a.n
+    c = cost_matrix(measure_of(a), measure_of(b), kind)
+    return c, solve_assignment(c)
+
+
+def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
+    """Minimum transport cost between the diagram measures of two partitions.
+
+    Returns an exact Fraction for the integer cost kinds and a float for
+    "euclid" (see `plan_cost`).
+    """
+    c, res = solve_transport(a, b, kind)
+    return plan_cost(res.matching, c)
 
 
 def wasserstein_is_zero(a, b):
@@ -258,73 +266,32 @@ def wasserstein_is_zero(a, b):
     return wasserstein(a, b, SQUARED_EUCLIDEAN) == 0
 
 
-# ---------------------------------------------------------------------------
-# plans
+def plan_cost(matching, c):
+    """Transport cost of the plan that sends mass 1/n along each matched pair.
 
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Sparse non-negative plan whose margins match exactly."""
-
-    entries: tuple  # ((i, j, Fraction), ...) sorted by (i, j)
-    row_marginal: tuple
-    col_marginal: tuple
-
-    def __post_init__(self):
-        rows = [Fraction(0)] * len(self.row_marginal)
-        cols = [Fraction(0)] * len(self.col_marginal)
-        for i, j, mass in self.entries:
-            if mass <= 0:
-                raise ValueError(f"plan mass at ({i}, {j}) must be positive")
-            rows[i] += mass
-            cols[j] += mass
-        if rows != list(self.row_marginal) or cols != list(self.col_marginal):
-            raise ValueError("plan does not satisfy its marginals")
-
-    def mass(self, i, j):
-        for a, b, w in self.entries:
-            if (a, b) == (i, j):
-                return w
-        return Fraction(0)
-
-    def support(self):
-        return tuple((i, j) for i, j, _ in self.entries)
-
-
-def plan_of_matching(matching, n):
-    """Permutation plan with mass 1/n on each matched pair."""
+    The matching total divided by n: an exact Fraction for integer kinds, a
+    float for "euclid".
+    """
+    n = len(matching)
+    if n != c.rows or n != c.cols:
+        raise ShapeMismatchError(f"plan is {n}x{n}, costs are {c.rows}x{c.cols}")
     if sorted(matching) != list(range(n)):
         raise ValueError(f"not a matching of {n} indices: {matching!r}")
-    w = Fraction(1, n)
-    marginal = (w,) * n
-    return TransportPlan(
-        entries=tuple((i, matching[i], w) for i in range(n)),
-        row_marginal=marginal,
-        col_marginal=marginal,
-    )
-
-
-def plan_cost(plan, c):
-    """Inner product of plan masses with costs; exact for integer kinds."""
-    if len(plan.row_marginal) != c.rows or len(plan.col_marginal) != c.cols:
-        raise ShapeMismatchError(
-            f"plan is {len(plan.row_marginal)}x{len(plan.col_marginal)}, "
-            f"costs are {c.rows}x{c.cols}"
-        )
+    costs = [row[j] for row, j in zip(c.values, matching)]
     if c.is_exact:
-        return sum((w * c.values[i][j] for i, j, w in plan.entries), Fraction(0))
-    return math.fsum(float(w) * c.values[i][j] for i, j, w in plan.entries)
+        return Fraction(sum(costs), n)
+    return math.fsum(costs) / n
 
 
-def plan_to_json(plan, total):
-    """Wire form with exact masses and the exact plan cost."""
+def plan_to_json(matching, total):
+    """Wire form: mass 1/n on each matched pair (i, j), and the exact cost."""
     if not isinstance(total, Fraction):
         raise NonIntegerCostsError("plan JSON carries an exact rational total")
+    n = len(matching)
     return {
-        "n": len(plan.row_marginal),
+        "n": n,
         "entries": [
-            {"i": i, "j": j, "num": w.numerator, "den": w.denominator}
-            for i, j, w in plan.entries
+            {"i": i, "j": j, "num": 1, "den": n} for i, j in enumerate(matching)
         ],
         "total_num": total.numerator,
         "total_den": total.denominator,

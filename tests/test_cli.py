@@ -64,6 +64,23 @@ def test_enumerate_guard_override(capsys):
     assert capsys.readouterr().out == "101\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "1", "--n", "5", "--count", "--cost", "l1"],
+        ["enumerate", "--m", "1", "--n", "5", "--count", "--seed", "3"],
+        ["symmetrize", "p.json", "--sigma", "2 1", "--cost", "l1"],
+        ["render", "p.json", "--seed", "3"],
+        ["wasserstein", "a.json", "b.json", "--seed", "3"],
+        ["wasserstein", "a.json", "b.json", "--certify", "--oracle-max", "10"],
+    ],
+)
+def test_options_exist_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_enumerate_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (out1, out2):
@@ -165,6 +182,30 @@ def test_wasserstein_self_is_zero(capsys, p42):
 def test_wasserstein_certify(capsys, p42, p2211):
     assert cli.main(["wasserstein", p42, p2211, "--certify"]) == 0
     assert "certified" in capsys.readouterr().out
+
+
+def test_wasserstein_certify_skips_above_oracle_limit(capsys, tmp_path):
+    p4321 = write_partition(tmp_path, "p4321.json", {"m": 1, "entries": [4, 3, 2, 1]})
+    assert cli.main(["wasserstein", p4321, p4321, "--certify"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "0/1 (0)\n"
+    assert captured.err == "certify skipped: n=10 above the oracle limit 9\n"
+
+
+def test_wasserstein_solves_once(capsys, monkeypatch, p42, p2211):
+    from partition_ot import transport
+
+    calls = {"cost_matrix": 0, "solve_assignment": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(transport, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (transport, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["wasserstein", p42, p2211, "--certify", "--plan"]) == 0
+    assert calls == {"cost_matrix": 1, "solve_assignment": 1}
 
 
 def test_wasserstein_plan_json(capsys, p42, p2211):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,15 +18,14 @@ from partition_ot import (
     is_c_cyclically_monotone,
     measure_of,
     plan_cost,
-    plan_of_matching,
     plan_to_json,
     solve_assignment,
     solve_bruteforce,
+    solve_transport,
     symmetrize,
     validate_array,
     wasserstein,
     wasserstein_is_zero,
-    TransportPlan,
 )
 
 from downset_oracle import bruteforce_matching_total
@@ -204,6 +204,31 @@ def test_wasserstein_shape_mismatch():
         wasserstein(P42, validate_array([2, 1], 1))
     with pytest.raises(ShapeMismatchError):
         wasserstein(validate_array([2, 1, 1], 1), validate_array([[2, 1], [1]], 2))
+    with pytest.raises(ShapeMismatchError):
+        solve_transport(P42, validate_array([2, 1], 1))
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
+def test_solve_transport_is_the_one_solve(kind):
+    c, res = solve_transport(P42, P2211, kind)
+    assert c == pair_measures(P42, P2211, kind)
+    assert res == solve_assignment(c)
+    assert plan_cost(res.matching, c) == wasserstein(P42, P2211, kind)
+
+
+@pytest.mark.parametrize("kind", ["l1", "sq"])
+def test_wasserstein_triangle_inequality(kind):
+    # W is a metric under l1, exactly; under sq the metric is sqrt(W).
+    for m, n_max in ((1, 7), (2, 5)):
+        for n in range(1, n_max + 1):
+            parts = enumerate_partitions(m, n)
+            d = {}
+            for a, b in itertools.combinations_with_replacement(parts, 2):
+                w = wasserstein(a, b, kind)
+                d[a, b] = d[b, a] = w if kind == "l1" else math.sqrt(w)
+            slack = 0 if kind == "l1" else 1e-12
+            for a, b, c in itertools.product(parts, repeat=3):
+                assert d[a, c] <= d[a, b] + d[b, c] + slack, (a, b, c)
 
 
 def test_wasserstein_symmetry_and_positivity():
@@ -239,40 +264,20 @@ def test_wasserstein_permutation_equivariance():
 # plans
 
 
-def test_plan_of_matching_diagonal():
-    plan = plan_of_matching((0, 1), 2)
-    assert plan.mass(0, 0) == Fraction(1, 2)
-    assert plan.mass(0, 1) == 0
-    assert plan.row_marginal == plan.col_marginal == (Fraction(1, 2),) * 2
+def test_plan_json_diagonal():
+    doc = plan_to_json((0, 1), Fraction(0))
+    assert [(e["i"], e["j"]) for e in doc["entries"]] == [(0, 0), (1, 1)]
+    assert all(Fraction(e["num"], e["den"]) == Fraction(1, 2) for e in doc["entries"])
 
 
-def test_plan_marginals_always_exact():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 8)
-        matching = list(range(n))
-        rng.shuffle(matching)
-        plan = plan_of_matching(tuple(matching), n)
-        assert sum(w for _, _, w in plan.entries) == 1
-
-
-def test_plan_of_matching_rejects_non_matching():
+def test_plan_cost_rejects_non_matching():
     with pytest.raises(ValueError):
-        plan_of_matching((0, 0), 2)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        TransportPlan(
-            entries=((0, 0, Fraction(1, 2)),),
-            row_marginal=(Fraction(1, 2), Fraction(1, 2)),
-            col_marginal=(Fraction(1, 2), Fraction(1, 2)),
-        )
+        plan_cost((0, 0), integer_cost_matrix([[0, 1], [1, 0]]))
 
 
 def test_plan_cost_zero_on_identity():
     c = pair_measures(P42, P42)
-    assert plan_cost(plan_of_matching(tuple(range(6)), 6), c) == 0
+    assert plan_cost(tuple(range(6)), c) == 0
 
 
 def test_plan_cost_of_reflection_plan():
@@ -283,7 +288,7 @@ def test_plan_cost_of_reflection_plan():
     image = {(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 1),
              (2, 0): (0, 2), (3, 0): (0, 3)}
     matching = tuple(dst.index(image[pt]) for pt in src)
-    cost = plan_cost(plan_of_matching(matching, 6), pair_measures(P42, P2211))
+    cost = plan_cost(matching, pair_measures(P42, P2211))
     assert cost == Fraction(13, 3)
     assert cost > wasserstein(P42, P2211)
 
@@ -293,19 +298,18 @@ def test_plan_cost_positive_on_self_symmetric_rotation():
     p21 = validate_array([2, 1], 1)
     src = measure_of(p21)
     matching = tuple(src.index(SWAP.apply_to_cell(pt)) for pt in src)
-    cost = plan_cost(plan_of_matching(matching, 3), pair_measures(p21, p21))
+    cost = plan_cost(matching, pair_measures(p21, p21))
     assert cost == Fraction(4, 3)
     assert wasserstein(p21, p21) == 0
 
 
 def test_plan_cost_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        plan_cost(plan_of_matching((0, 1), 2), pair_measures(P42, P2211))
+        plan_cost((0, 1), pair_measures(P42, P2211))
 
 
 def test_plan_json():
-    plan = plan_of_matching((1, 0), 2)
-    assert plan_to_json(plan, Fraction(4, 2)) == {
+    assert plan_to_json((1, 0), Fraction(4, 2)) == {
         "n": 2,
         "entries": [
             {"i": 0, "j": 1, "num": 1, "den": 2},
