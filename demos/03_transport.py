@@ -3,11 +3,13 @@
 With uniform weights 1/n on both sides, the optimal plan is a
 permutation matching, so the distance is an exact rational: the minimum
 matching total divided by n.  The solver is exact on integer costs and
-certified against an exhaustive oracle.
+returns an LP dual that certifies its matching at any n; at small n it
+is also checked against an exhaustive oracle.
 """
 
 from partition_ot import (
     Permutation,
+    check_certificate,
     cost_matrix,
     hybrid_plan,
     is_c_cyclically_monotone,
@@ -51,6 +53,12 @@ print("hybrid plan: valid =", h.valid, " cost =", h.cost,
 # The solver agrees with brute force over all 720 permutations.
 assert solve_bruteforce(c).total == res.total
 print("\nexhaustive oracle agrees:", res.total)
+
+# The solver's LP dual proves the same at any n, in O(n^2): u_i + v_j <= c_ij
+# for every pair, and sum(u) + sum(v) equals the matching's total.
+u, v = res.duals
+print("dual certificate holds:", check_certificate(c, res),
+      " sum(u) + sum(v) =", sum(u) + sum(v))
 
 # Optimal plan supports can never be improved by relabeling a few
 # targets: c-cyclical monotonicity.

@@ -8,6 +8,7 @@ mechanically over exhaustive small-instance sweeps.
 
 from .errors import (
     DimensionMismatchError,
+    EnumerationTooLargeError,
     InstanceTooLargeError,
     NonIntegerCostsError,
     NotDownSetError,
@@ -56,6 +57,7 @@ from .theorems import (
     verify_theorem_main,
 )
 from .transport import (
+    ASSIGNMENT_MAX_N,
     BRUTE_FORCE_MAX,
     COST_KINDS,
     EUCLIDEAN,
@@ -63,6 +65,7 @@ from .transport import (
     SQUARED_EUCLIDEAN,
     AssignmentResult,
     CostMatrix,
+    check_certificate,
     cost_matrix,
     integer_cost_matrix,
     is_c_cyclically_monotone,

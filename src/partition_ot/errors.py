@@ -21,6 +21,10 @@ class InstanceTooLargeError(PartitionOTError):
     """Requested instance exceeds a configured size guard."""
 
 
+class EnumerationTooLargeError(InstanceTooLargeError):
+    """Partition enumeration exceeds its max-cells guard."""
+
+
 class SizeMismatchError(PartitionOTError):
     """Permutation size does not match the diagram dimension."""
 

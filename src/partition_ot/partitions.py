@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    InstanceTooLargeError,
+    EnumerationTooLargeError,
     NonPositiveEntryError,
     NotDownSetError,
     NotMonotoneError,
@@ -355,7 +355,7 @@ def _check_guard(m, n, max_cells):
         raise ValueError(f"total n must be >= 1, got {n}")
     limit = default_max_cells(m) if max_cells is None else max_cells
     if n > limit:
-        raise InstanceTooLargeError(
+        raise EnumerationTooLargeError(
             f"n={n} exceeds the enumeration guard {limit} for m={m}; "
             f"raise the max-cells limit to override"
         )

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from partition_ot import cli
+from partition_ot import ASSIGNMENT_MAX_N, cli
 
 
 def write_partition(tmp_path, name, doc):
@@ -55,6 +55,10 @@ def test_enumerate_guard_exit_code(capsys):
     assert cli.main(["enumerate", "--m", "1", "--n", "40"]) == 2
     err = capsys.readouterr().err
     assert "--max-cells" in err
+    assert err == (
+        "error: n=40 exceeds the enumeration guard 12 for m=1; "
+        "raise the max-cells limit to override (see --max-cells)\n"
+    )
 
 
 def test_enumerate_guard_override(capsys):
@@ -184,12 +188,46 @@ def test_wasserstein_certify(capsys, p42, p2211):
     assert "certified" in capsys.readouterr().out
 
 
-def test_wasserstein_certify_skips_above_oracle_limit(capsys, tmp_path):
-    p4321 = write_partition(tmp_path, "p4321.json", {"m": 1, "entries": [4, 3, 2, 1]})
-    assert cli.main(["wasserstein", p4321, p4321, "--certify"]) == 0
+@pytest.fixture
+def p4321(tmp_path):
+    return write_partition(tmp_path, "p4321.json", {"m": 1, "entries": [4, 3, 2, 1]})
+
+
+@pytest.fixture
+def p5221(tmp_path):
+    return write_partition(tmp_path, "p5221.json", {"m": 1, "entries": [5, 2, 2, 1]})
+
+
+def test_wasserstein_certify_checks_the_dual_above_oracle_limit(capsys, p4321, p5221):
+    assert cli.main(["wasserstein", p4321, p5221, "--certify"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "0/1 (0)\n"
-    assert captured.err == "certify skipped: n=10 above the oracle limit 9\n"
+    assert captured.out == (
+        "3/10 (0.3)\ncertified: LP dual (u, v) proves the matching optimal\n"
+    )
+    assert captured.err == ""
+
+
+def test_wasserstein_corrupted_dual_exits_3(capsys, monkeypatch, p4321, p5221):
+    def corrupted(a, b, kind):
+        c, res = solve(a, b, kind)
+        u, v = res.duals
+        return c, res._replace(duals=((u[0] + 1,) + u[1:], v))
+
+    solve = cli.solve_transport
+    monkeypatch.setattr(cli, "solve_transport", corrupted)
+    assert cli.main(["wasserstein", p4321, p5221, "--certify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certify: the LP dual certificate does not hold\n"
+
+
+def test_wasserstein_assignment_guard(capsys, tmp_path):
+    n = ASSIGNMENT_MAX_N + 1
+    big = write_partition(tmp_path, "big.json", {"m": 1, "entries": [n]})
+    assert cli.main(["wasserstein", big, big]) == 2
+    assert capsys.readouterr().err == (
+        f"error: n={n} exceeds the assignment guard {ASSIGNMENT_MAX_N}\n"
+    )
 
 
 def test_wasserstein_solves_once(capsys, monkeypatch, p42, p2211):
@@ -225,6 +263,14 @@ def test_wasserstein_plan_rejects_euclid(capsys, p42, p2211):
 def test_wasserstein_shape_mismatch(capsys, tmp_path, p42):
     other = write_partition(tmp_path, "p3.json", {"m": 1, "entries": [2, 1]})
     assert cli.main(["wasserstein", p42, other]) == 2
+
+
+def test_wasserstein_certify_euclid_ignores_summation_order(capsys, tmp_path):
+    # the oracle's plain float sum and the solver's fsum differ in the last bit
+    a = write_partition(tmp_path, "p1111.json", {"m": 1, "entries": [1, 1, 1, 1]})
+    b = write_partition(tmp_path, "p4.json", {"m": 1, "entries": [4]})
+    assert cli.main(["wasserstein", a, b, "--certify", "--cost", "euclid"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "certified: exhaustive oracle agrees"
 
 
 def test_wasserstein_certify_failure_exits_3(capsys, p42, p2211, monkeypatch):
@@ -288,6 +334,11 @@ def test_verify_solver_mode(capsys):
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary == {"theorem": "solver", "seed": 1, "size": 5, "trials": 25,
                        "violations": 0}
+
+
+def test_verify_solver_size_guard_names_no_other_flag(capsys):
+    assert cli.main(["verify", "--theorem", "solver", "--size", "10"]) == 2
+    assert capsys.readouterr().err == "error: --size 10 exceeds the oracle guard 9\n"
 
 
 def test_verify_requires_m_and_nmax(capsys):

@@ -6,6 +6,7 @@ from partition_ot import (
     NonIntegerCostsError,
     Permutation,
     all_permutations,
+    check_certificate,
     count_partitions,
     enumerate_partitions,
     format_summary,
@@ -15,6 +16,7 @@ from partition_ot import (
     verify_theorem_cor,
     verify_theorem_main,
 )
+from partition_ot import theorems
 
 SWAP = Permutation.from_one_line("2 1")
 THREE_CYCLES = [s for s in all_permutations(3) if not s.is_involution()]
@@ -117,6 +119,29 @@ def test_cor_sweep_identity_only():
     assert report.violations == 0
     assert all(rec["self_symmetric"] for rec in report.records)
     assert all(rec["w"] == [0, 1] for rec in report.records)
+
+
+@pytest.mark.parametrize(
+    "sweep, m, n_max, sigmas, kind",
+    [
+        (verify_theorem_main, 2, 5, involutions(3), "sq"),
+        (verify_theorem_cor, 3, 4, all_permutations(4), "l1"),
+        (verify_theorem_cor, 2, 4, all_permutations(3), "euclid"),
+    ],
+)
+def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, kind):
+    solved = []
+
+    def recording(c):
+        res = solve(c)
+        solved.append((c, res))
+        return res
+
+    solve = theorems.solve_assignment
+    monkeypatch.setattr(theorems, "solve_assignment", recording)
+    report = sweep(m, n_max, sigmas, kind=kind)
+    assert len(solved) == report.summary["records"]
+    assert all(check_certificate(c, res) for c, res in solved)
 
 
 def test_record_count_invariant():

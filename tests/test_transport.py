@@ -1,17 +1,23 @@
+import contextlib
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_ot import (
+    ASSIGNMENT_MAX_N,
     DimensionMismatchError,
     InstanceTooLargeError,
     NotSquareError,
     Permutation,
     ShapeMismatchError,
     all_permutations,
+    check_certificate,
     cost_matrix,
     enumerate_partitions,
     integer_cost_matrix,
@@ -27,8 +33,10 @@ from partition_ot import (
     wasserstein,
     wasserstein_is_zero,
 )
+from partition_ot import transport
 
 from downset_oracle import bruteforce_matching_total
+from lex_reference import lex_smallest_matching
 
 P42 = validate_array([4, 2], 1)
 P2211 = validate_array([2, 2, 1, 1], 1)
@@ -93,7 +101,7 @@ def test_dimension_mismatch():
 
 def test_trivial_assignment():
     res = solve_assignment(integer_cost_matrix([[0]]))
-    assert res == ((0,), 0, True)
+    assert res == ((0,), 0, True, ((0,), (0,)))
 
 
 def test_two_by_two_bruteforce_formula():
@@ -165,6 +173,111 @@ def test_euclid_solver_is_flagged_and_close():
         src, dst, lambda a, b: math.dist(a, b)
     )
     assert res.total == pytest.approx(oracle, rel=1e-12)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail a test whose body runs longer than `seconds` instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_negative_costs():
+    rng = random.Random(3)
+    matrices = [[[-1]], [[-5, -3], [-2, -7]]] + [
+        [[rng.randrange(-9, hi) for _ in range(n)] for _ in range(n)]
+        for n in range(1, 7)
+        for hi in (-1, 0, 9)
+    ]
+    for values in matrices:
+        c = integer_cost_matrix(values)
+        with time_limit(10):
+            res = solve_assignment(c)
+        assert res[:3] == solve_bruteforce(c)[:3]
+        assert check_certificate(c, res)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_tie_heavy_matrices_match_bruteforce_lex_order(values):
+    c = integer_cost_matrix(values)
+    res = solve_assignment(c)
+    assert res[:3] == solve_bruteforce(c)[:3]
+    assert check_certificate(c, res)
+
+
+def flat_reflection_costs(n, count, seed):
+    """Cost matrices of seeded flat partitions of n against their reflection."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        parts, left = [], n
+        while left:
+            parts.append(rng.randint(1, min(left, parts[-1] if parts else left)))
+            left -= parts[-1]
+        p = validate_array(parts, 1)
+        for kind in ("sq", "l1"):
+            out.append(pair_measures(p, symmetrize(p, SWAP), kind))
+    return out
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_solver_agrees_with_perturbed_reference(n):
+    rng = random.Random(n)
+    matrices = flat_reflection_costs(n, 3, n) + [
+        integer_cost_matrix([[rng.randrange(k) for _ in range(n)] for _ in range(n)])
+        for k in (1, 2, 3, 4)
+    ]
+    for c in matrices:
+        res = solve_assignment(c)
+        assert res.matching == lex_smallest_matching(c.values)
+        assert check_certificate(c, res)
+
+
+def test_certificate_rejects_corrupted_duals():
+    c = pair_measures(P42, P2211)
+    res = solve_assignment(c)
+    assert check_certificate(c, res)
+    u, v = res.duals
+    shifted = ((u[0] + 1, u[1] - 1) + u[2:], v)  # same sum, row 0 infeasible
+    lowered = ((u[0] - 1,) + u[1:], v)  # feasible, but sums short of the total
+    for duals in (shifted, lowered, None, (u, v[:-1])):
+        assert not check_certificate(c, res._replace(duals=duals))
+    assert not check_certificate(c, res._replace(total=res.total - 1))
+    assert not check_certificate(c, solve_bruteforce(c))  # carries no duals
+
+
+def test_euclid_certificate_on_the_grid():
+    c = pair_measures(P42, P2211, "euclid")
+    res = solve_assignment(c)
+    assert check_certificate(c, res)
+    u, v = res.duals
+    shifted = ((u[0] + 1, u[1] - 1) + u[2:], v)
+    assert not check_certificate(c, res._replace(duals=shifted))
+
+
+def test_assignment_size_guard(monkeypatch):
+    big = validate_array([ASSIGNMENT_MAX_N + 1], 1)
+    with pytest.raises(InstanceTooLargeError, match="assignment guard"):
+        solve_transport(big, big)
+    monkeypatch.setattr(transport, "ASSIGNMENT_MAX_N", 2)
+    with pytest.raises(InstanceTooLargeError, match="n=3 exceeds the assignment guard 2"):
+        solve_assignment(integer_cost_matrix([[0] * 3] * 3))
 
 
 # ---------------------------------------------------------------------------
