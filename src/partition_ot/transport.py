@@ -105,8 +105,16 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
 
 
 def integer_cost_matrix(values, kind=SQUARED_EUCLIDEAN):
-    """Wrap a plain integer matrix (generic problems and solver tests)."""
-    vals = tuple(tuple(int(v) for v in row) for row in values)
+    """Wrap a plain integer matrix (generic problems and solver tests).
+
+    Every entry must be an int; floats, bools and anything else raise
+    ValueError rather than being rounded into a different problem.
+    """
+    vals = tuple(tuple(row) for row in values)
+    for row in vals:
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"cost entry {v!r} is not an integer")
     if not vals:
         raise ShapeMismatchError("empty cost matrix")
     widths = {len(row) for row in vals}

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from partition_ot import (
     Permutation,
     all_permutations,
@@ -5,6 +8,7 @@ from partition_ot import (
     enumerate_partitions,
     measure_of,
     symmetrize,
+    to_cells,
     validate_array,
 )
 
@@ -75,3 +79,22 @@ def test_decompose_cardinalities():
                 assert len(dec.common) + len(dec.source_only) == p.n
                 assert len(dec.source_only) == len(dec.target_only)
 
+
+
+@st.composite
+def instances(draw, max_m=3, max_n=6):
+    m = draw(st.integers(1, max_m))
+    p = draw(st.sampled_from(enumerate_partitions(m, draw(st.integers(1, max_n)))))
+    return p, draw(st.sampled_from(all_permutations(m + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_decompose_splits_both_supports(instance):
+    p, sigma = instance
+    dec = decompose(p, sigma)
+    assert not (dec.common & dec.source_only)
+    assert not (dec.common & dec.target_only)
+    assert len(dec.source_only) == len(dec.target_only)
+    assert dec.common | dec.source_only == to_cells(p).cells
+    assert dec.common | dec.target_only == to_cells(symmetrize(p, sigma)).cells

@@ -3,15 +3,26 @@
 Each case hashes the full JSON-lines report of one sweep.  A refactor of
 the sweep pipeline must leave every byte, and so every hash, unchanged.
 The last case is the report of the benchmark's smoke sweep.
+
+Reports carry totals and verdicts, not matchings, so one more pin hashes
+the solver's lex-smallest optimal matching on every instance of a small
+sweep, built from the cost matrix and the solver alone.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from partition_ot import (
     all_permutations,
+    cost_matrix,
+    enumerate_partitions,
     involutions,
+    measure_of,
+    solve_assignment,
+    symmetrize,
+    to_json,
     verify_theorem_cor,
     verify_theorem_main,
 )
@@ -48,3 +59,24 @@ def test_report_bytes_are_pinned(theorem, m, n_max, sigmas, kind, digest):
     report = SWEEPS[theorem](m, n_max, SIGMA_SETS[sigmas](m + 1), kind=kind)
     text = report.to_jsonl()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# main, m = 2, n <= 6, involutions, "sq".  At n <= 5 the solver's first
+# optimum is already lex-smallest on every instance; n = 6 has ties it
+# must break.
+MATCHINGS_DIGEST = "96c1c0a3905c721ee5aaee939800bf254173c9e91409cb766b8af1c2616754dc"
+
+
+def test_sweep_matchings_are_pinned():
+    lines = []
+    for n in range(1, 7):
+        for p in enumerate_partitions(2, n):
+            src = measure_of(p)
+            for sigma in involutions(3):
+                c = cost_matrix(src, measure_of(symmetrize(p, sigma)), "sq")
+                matching = solve_assignment(c).matching
+                row = [to_json(p)["entries"], list(sigma.images), list(matching)]
+                lines.append(json.dumps(row, separators=(",", ":")))
+    assert len(lines) == 380
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MATCHINGS_DIGEST

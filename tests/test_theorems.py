@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_ot import (
     NonIntegerCostsError,
     Permutation,
+    SizeMismatchError,
     all_permutations,
     check_certificate,
     count_partitions,
@@ -12,14 +15,27 @@ from partition_ot import (
     format_summary,
     hybrid_plan,
     involutions,
+    measure_of,
+    symmetrize,
     validate_array,
     verify_theorem_cor,
     verify_theorem_main,
 )
 from partition_ot import theorems
 
+from uncached_sweep import uncached_sweep
+
 SWAP = Permutation.from_one_line("2 1")
 THREE_CYCLES = [s for s in all_permutations(3) if not s.is_involution()]
+
+
+@st.composite
+def instances(draw, max_m=3, max_n=6):
+    """A partition p of dimension m <= max_m and two axis permutations."""
+    m = draw(st.integers(1, max_m))
+    p = draw(st.sampled_from(enumerate_partitions(m, draw(st.integers(1, max_n)))))
+    group = all_permutations(m + 1)
+    return m, p, draw(st.sampled_from(group)), draw(st.sampled_from(group))
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +78,32 @@ def test_hybrid_can_be_invalid_for_a_three_cycle():
 def test_hybrid_rejects_irrational_kind():
     with pytest.raises(NonIntegerCostsError):
         hybrid_plan(validate_array([2, 1], 1), SWAP, kind="euclid")
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.sampled_from(["sq", "l1"]))
+def test_hybrid_result_invariants(instance, kind):
+    _, p, sigma, _ = instance
+    res = hybrid_plan(p, sigma, kind)
+    if res.valid:
+        assert res.cost >= res.optimal_cost
+        assert res.matches_optimum == (res.cost == res.optimal_cost)
+        assert sorted(res.matching) == list(range(p.n))
+    else:
+        assert res.cost is None and res.matching is None
+        assert not res.matches_optimum
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+def test_sweep_records_keep_the_hybrid_invariants(kind):
+    for rec in verify_theorem_main(2, 5, all_permutations(3), kind=kind).records:
+        optimal = Fraction(*rec["optimal_cost"])
+        if rec["hybrid_valid"]:
+            cost = Fraction(*rec["hybrid_cost"])
+            assert cost >= optimal
+            assert rec["matches_optimum"] == (cost == optimal)
+        else:
+            assert rec["hybrid_cost"] is None and not rec["matches_optimum"]
 
 
 def test_hybrid_always_valid_for_involutions():
@@ -121,6 +163,70 @@ def test_cor_sweep_identity_only():
     assert all(rec["w"] == [0, 1] for rec in report.records)
 
 
+# ---------------------------------------------------------------------------
+# one solve per symmetry orbit
+#
+# Relabelling the axes by tau maps the instance (p, sigma) to
+# (tau p, tau sigma tau^-1) and keeps every claim field, so the sweep runs
+# the claim once per orbit.
+
+
+def _conjugate(tau, sigma):
+    return tau.compose(sigma).compose(tau.inverse())
+
+
+def _orbit_count(m, n_max, sigmas):
+    """Orbits met by a sweep's instances, by brute force over S_{m+1}."""
+    group = all_permutations(m + 1)
+    orbits = set()
+    for n in range(1, n_max + 1):
+        for p in enumerate_partitions(m, n):
+            images = [
+                tuple(sorted(tau.apply_to_cell(cell) for cell in measure_of(p)))
+                for tau in group
+            ]
+            for sigma in sigmas:
+                orbits.add(
+                    frozenset(
+                        (image, _conjugate(tau, sigma).images)
+                        for tau, image in zip(group, images)
+                    )
+                )
+    return len(orbits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_orbit_key_is_invariant_under_relabelling_axes(instance):
+    m, p, sigma, tau = instance
+    pair = [sigma, _conjugate(tau, sigma)]
+    src, image = measure_of(p), measure_of(symmetrize(p, tau))
+    keys = theorems._orbit_keys(m, pair)
+    assert keys(src)[0] == keys(image)[1]
+    keys = theorems._orbit_keys(m, pair)  # meet the image first
+    assert keys(image)[1] == keys(src)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.data())
+def test_orbit_keys_differ_across_orbits(instance, data):
+    m, p, sigma, tau = instance
+    group = all_permutations(m + 1)
+    # a second instance of the same n: often in the same orbit, often not
+    q = symmetrize(p, tau) if data.draw(st.booleans()) else data.draw(
+        st.sampled_from(enumerate_partitions(m, p.n))
+    )
+    rho = _conjugate(tau, sigma) if data.draw(st.booleans()) else data.draw(
+        st.sampled_from(group)
+    )
+    same_orbit = any(
+        measure_of(symmetrize(p, t)) == measure_of(q) and _conjugate(t, sigma) == rho
+        for t in group
+    )
+    keys = theorems._orbit_keys(m, [sigma, rho])
+    assert (keys(measure_of(p))[0] == keys(measure_of(q))[1]) == same_orbit
+
+
 @pytest.mark.parametrize(
     "sweep, m, n_max, sigmas, kind",
     [
@@ -140,8 +246,38 @@ def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, ki
     solve = theorems.solve_assignment
     monkeypatch.setattr(theorems, "solve_assignment", recording)
     report = sweep(m, n_max, sigmas, kind=kind)
-    assert len(solved) == report.summary["records"]
+    assert len(solved) == _orbit_count(m, n_max, sigmas) < report.summary["records"]
     assert all(check_certificate(c, res) for c, res in solved)
+
+
+NOT_CLOSED = [Permutation.from_one_line("2 1 3"), Permutation.from_one_line("3 1 2")]
+
+
+@pytest.mark.parametrize(
+    "theorem, m, n_max, sigmas, kind",
+    [
+        ("main", 2, 7, all_permutations(3), "sq"),
+        ("cor", 1, 12, all_permutations(2), "euclid"),
+        ("main", 2, 8, NOT_CLOSED, "sq"),
+    ],
+    ids=["main-m2-all-sq", "cor-m1-euclid", "main-m2-not-closed-sq"],
+)
+def test_orbit_cache_matches_the_uncached_sweep(theorem, m, n_max, sigmas, kind):
+    sweep = verify_theorem_main if theorem == "main" else verify_theorem_cor
+    report = sweep(m, n_max, sigmas, kind=kind)
+    reference = uncached_sweep(theorem, m, n_max, sigmas, kind)
+    assert report.records == reference.records
+    assert report.to_jsonl() == reference.to_jsonl()
+
+
+def test_size_mismatch_is_raised_before_any_solve(monkeypatch):
+    def refuse(c):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(theorems, "solve_assignment", refuse)
+    sigmas = [Permutation.identity(3), SWAP]
+    with pytest.raises(SizeMismatchError, match="permutation of size 2 cannot act on 3"):
+        verify_theorem_cor(2, 3, sigmas)
 
 
 def test_record_count_invariant():

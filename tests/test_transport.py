@@ -104,6 +104,27 @@ def test_trivial_assignment():
     assert res == ((0,), 0, True, ((0,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "values, bad",
+    [
+        ([[1.7, 2], [3, 4]], "1.7"),
+        ([[1, 2], [3, True]], "True"),
+        ([[1, 2], [3, 4.0]], "4.0"),
+        ([[1, "2"], [3, 4]], "'2'"),
+        ([[1, None], [3, 4]], "None"),
+    ],
+)
+def test_integer_cost_matrix_rejects_non_integer_entries(values, bad):
+    # int() would turn 1.7 and True into 1 and solve a different problem
+    with pytest.raises(ValueError, match=f"cost entry {bad} is not an integer"):
+        integer_cost_matrix(values)
+
+
+def test_integer_cost_matrix_keeps_integer_entries():
+    c = integer_cost_matrix([[-1, 2], (3, 10**30)])
+    assert c.values == ((-1, 2), (3, 10**30))
+
+
 def test_two_by_two_bruteforce_formula():
     rng = random.Random(7)
     for _ in range(50):
