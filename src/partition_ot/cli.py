@@ -220,6 +220,8 @@ def cmd_verify(args):
         return _verify_solver(args)
     if args.m is None or args.n_max is None:
         raise ValueError("verify needs --m and --n-max")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     sigmas = _sigma_set(args.sigma or ["all"], args.m + 1)
     sweep = verify_theorem_main if args.theorem == "main" else verify_theorem_cor
     report = sweep(args.m, args.n_max, sigmas, kind=args.cost, max_cells=args.max_cells)
@@ -230,6 +232,8 @@ def cmd_verify(args):
 
 
 def _verify_solver(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.size > BRUTE_FORCE_MAX:
         raise InstanceTooLargeError(
             f"--size {args.size} exceeds the oracle guard {BRUTE_FORCE_MAX}"
@@ -267,6 +271,8 @@ def _verify_solver(args):
 
 
 def cmd_render(args):
+    if not 0 < args.cell_size < math.inf:  # false for nan too
+        raise ValueError(f"--cell-size must be finite and > 0, got {args.cell_size}")
     p = _read_partition(args.input)
     sigma = Permutation.from_one_line(args.sigma) if args.sigma else None
     spec = RenderSpec(format=args.format, cell_size=args.cell_size)
@@ -294,12 +300,15 @@ def _sigma_set(names, size):
 
 
 def _read_partition(path):
-    if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return from_json(doc)
+    try:
+        if path == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        return from_json(doc)
+    except RecursionError:
+        raise ValueError(f"{path}: partition JSON is nested too deeply") from None
 
 
 def _compact(obj):

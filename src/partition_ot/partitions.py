@@ -243,12 +243,16 @@ def _listify(node):
 
 def to_cells(p):
     """Diagram cells of a partition: one (m+1)-tuple per stacked unit."""
-    cells = set()
+    return CellSet(m=p.m, cells=frozenset(_cells(p)))
+
+
+def _cells(p):
+    """The cells of p's diagram as a plain list, unchecked."""
+    cells = []
     for idx, part in p.items():
         base = tuple(i - 1 for i in idx)
-        for a in range(part):
-            cells.add((a,) + base)
-    return CellSet(m=p.m, cells=frozenset(cells))
+        cells.extend((a,) + base for a in range(part))
+    return cells
 
 
 def from_cells(c):
@@ -339,7 +343,7 @@ def enumerate_partitions(m, n, max_cells=None):
     """
     _check_guard(m, n, max_cells)
     parts = [MultiPartition(m=m, entries=e, n=n) for e in _entry_trees(m, n)]
-    parts.sort(key=lambda p: to_cells(p).sorted_cells())
+    parts.sort(key=lambda p: sorted(_cells(p)))
     return parts
 
 

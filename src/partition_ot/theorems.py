@@ -13,8 +13,9 @@ every permutation in a chosen set:
 
 Reports are deterministic: records appear in canonical enumeration order
 and serialize to byte-identical JSON lines across runs.  Each claim is
-computed once per symmetry orbit of instances under relabelling the axes
-and copied to the orbit's other instances (see `_sweep`).
+computed and serialized once per symmetry orbit of instances under
+relabelling the axes, and the orbit's other record lines reuse it (see
+`_sweep`).
 """
 
 from __future__ import annotations
@@ -51,15 +52,26 @@ class HybridPlanResult:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Per-instance records plus summary counts for one verification sweep."""
+    """One verification sweep: its JSON record lines plus summary counts.
+
+    `lines` holds one serialized record per instance, in enumeration
+    order; `sigma_counts` maps each sigma's images to its (instances,
+    violations) tally.
+    """
 
     theorem: str
     m: int
     n_max: int
     sigmas: tuple
     kind: str
-    records: tuple
+    lines: tuple
     summary: dict
+    sigma_counts: dict
+
+    @property
+    def records(self):
+        """The per-instance records, parsed from `lines` on each access."""
+        return tuple(map(json.loads, self.lines))
 
     @property
     def violations(self):
@@ -67,9 +79,7 @@ class SweepReport:
 
     def to_jsonl(self):
         """One JSON line per record, then the summary object."""
-        lines = [_dumps(r) for r in self.records]
-        lines.append(_dumps(self.summary))
-        return "\n".join(lines) + "\n"
+        return "\n".join((*self.lines, _dumps(self.summary))) + "\n"
 
 
 def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
@@ -109,51 +119,74 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
     `record(src, sigma, kind)` returns the claim's fields for one instance,
-    where `src` is the partition's measure; `counts(records)` returns the
-    claim's extra summary counts.
+    where `src` is the partition's measure; `counts(weighted)` returns the
+    claim's extra summary counts from (fields, instances) pairs.
 
     Relabelling the m + 1 axes by any tau preserves every cost kind, so the
     instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
     to a reordering of rows and columns, and the same claim fields.
     `record` therefore runs once per orbit, on the orbit's first instance in
-    enumeration order; every other instance of the orbit gets a copy of
-    those fields beside its own n, partition and sigma.
+    enumeration order, and the orbit's fields are serialized once into a
+    line template; every instance of the orbit fills in its own n,
+    partition and sigma.  The summary counts each orbit's fields once per
+    instance it holds.
     """
     sigmas = tuple(sigmas)
-    records = []
-    orbit_fields = {}
+    sigma_json = [_dumps(list(s.images)) for s in sigmas]
+    lines = []
+    orbits = {}  # orbit key -> (line template, fields, instances per sigma)
     for n in range(1, n_max + 1):
         partitions = enumerate_partitions(m, n, max_cells=max_cells)
         if n == 1:  # after the first enumeration, whose errors come first
             orbit_keys = _orbit_keys(m, sigmas)
         for p in partitions:
             src = measure_of(p)
-            entries = to_json(p)["entries"]
-            for sigma, key in zip(sigmas, orbit_keys(src)):
-                fields = orbit_fields.get(key)
-                if fields is None:
-                    fields = orbit_fields[key] = record(src, sigma, kind)
-                records.append(
-                    {
-                        "theorem": theorem,
-                        "m": m,
-                        "n": n,
-                        "partition": entries,
-                        "sigma": list(sigma.images),
-                        **fields,
-                    }
-                )
+            entries = _dumps(to_json(p)["entries"])
+            for i, key in enumerate(orbit_keys(src)):
+                orbit = orbits.get(key)
+                if orbit is None:
+                    fields = record(src, sigmas[i], kind)
+                    template = _line_template(theorem, m, fields)
+                    orbit = orbits[key] = (template, fields, [0] * len(sigmas))
+                orbit[2][i] += 1
+                lines.append(orbit[0] % (n, entries, sigma_json[i]))
+    weighted = []  # (fields, instances) per orbit
+    sigma_counts = {s.images: [0, 0] for s in sigmas}
+    for _, fields, per_sigma in orbits.values():
+        weighted.append((fields, sum(per_sigma)))
+        for sigma, k in zip(sigmas, per_sigma):
+            tally = sigma_counts[sigma.images]
+            tally[0] += k
+            tally[1] += k if fields["violation"] else 0
     summary = {
         "theorem": theorem,
         "m": m,
         "n_max": n_max,
         "kind": kind,
         "sigmas": [list(s.images) for s in sigmas],
-        "records": len(records),
-        "violations": sum(r["violation"] for r in records),
-        **counts(records),
+        "records": len(lines),
+        "violations": sum(k for fields, k in weighted if fields["violation"]),
+        **counts(weighted),
     }
-    return SweepReport(theorem, m, n_max, sigmas, kind, tuple(records), summary)
+    return SweepReport(
+        theorem, m, n_max, sigmas, kind, tuple(lines), summary, sigma_counts
+    )
+
+
+_SLOT = "\0"  # placeholder of a record line's per-instance fields
+
+
+def _line_template(theorem, m, fields):
+    """%-format template of a record line; n, partition, sigma fill it.
+
+    The record is serialized once with a placeholder in each slot, and keys
+    are sorted, so the slots come in that order and a filled template is
+    byte-identical to `_dumps` of the whole record.  The placeholder is a
+    NUL string, which no claim field holds.
+    """
+    slots = dict.fromkeys(("n", "partition", "sigma"), _SLOT)
+    text = _dumps({"theorem": theorem, "m": m, **slots, **fields})
+    return text.replace("%", "%%").replace(_dumps(_SLOT), "%s")
 
 
 def _orbit_keys(m, sigmas):
@@ -212,10 +245,12 @@ def _main_record(src, sigma, kind):
     }
 
 
-def _main_counts(records):
+def _main_counts(weighted):
     # An invalid candidate never matches the optimum, so a record is bad
     # exactly when it does not match.
-    findings = sum(not (r["involution"] or r["matches_optimum"]) for r in records)
+    findings = sum(
+        k for f, k in weighted if not (f["involution"] or f["matches_optimum"])
+    )
     return {"noninvolutive_findings": findings}
 
 
@@ -237,8 +272,8 @@ def _cor_record(src, sigma, kind):
     }
 
 
-def _cor_counts(records):
-    return {"self_symmetric_count": sum(r["self_symmetric"] for r in records)}
+def _cor_counts(weighted):
+    return {"self_symmetric_count": sum(k for f, k in weighted if f["self_symmetric"])}
 
 
 def _hybrid(src, sigma, kind):
@@ -282,9 +317,8 @@ def format_summary(report):
         f"{'sigma':<12} {'instances':>9} {'violations':>10}",
     ]
     for sigma in report.sigmas:
-        recs = [r for r in report.records if r["sigma"] == list(sigma.images)]
-        bad = sum(1 for r in recs if r["violation"])
-        lines.append(f"{sigma.one_line():<12} {len(recs):>9} {bad:>10}")
+        instances, bad = report.sigma_counts[sigma.images]
+        lines.append(f"{sigma.one_line():<12} {instances:>9} {bad:>10}")
     lines.append(
         f"total: {report.summary['records']} records, "
         f"{report.summary['violations']} violations"

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -95,9 +96,25 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     if kind == L1:
         return CostMatrix(
             kind=kind,
-            values=tuple(tuple(l1_distance(a, b) for b in dst) for a in src),
+            values=tuple(
+                tuple([sum(map(abs, map(sub, a, b))) for b in dst]) for a in src
+            ),
         )
-    sq = tuple(tuple(squared_distance(a, b) for b in dst) for a in src)
+    # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, exact on ints, one norm per point
+    dst_norms = [sum(map(mul, b, b)) for b in dst]
+    rows = []
+    for a in src:
+        a_norm = sum(map(mul, a, a))
+        minus_twice = [-2 * x for x in a]
+        rows.append(
+            tuple(
+                [
+                    a_norm + b_norm + sum(map(mul, minus_twice, b))
+                    for b, b_norm in zip(dst, dst_norms)
+                ]
+            )
+        )
+    sq = tuple(rows)
     if kind == SQUARED_EUCLIDEAN:
         return CostMatrix(kind=kind, values=sq)
     floats = tuple(tuple(math.sqrt(v) for v in row) for row in sq)

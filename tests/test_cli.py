@@ -142,6 +142,23 @@ def test_symmetrize_rejects_non_integer_dimension(capsys, tmp_path, m):
     assert "dimension m must be an integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 3000 + "]" * 3000,
+        '{"m": 900, "entries": ' + "[" * 900 + "1" + "]" * 900 + "}",
+    ],
+    ids=["deep-array", "valid-m900"],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["wasserstein", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: partition JSON is nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # wasserstein
 
@@ -318,6 +335,19 @@ def test_verify_out_file_and_table(capsys, tmp_path):
     assert json.loads(lines[-1])["violations"] == 0
 
 
+# sha256 of the per-sigma table `verify --out` prints on stdout
+VERIFY_TABLE_DIGEST = "496e162c49a512c9535301476b5e5d80db1bd19aafdb4722a185806becd8396a"
+
+
+def test_verify_out_table_bytes(capsys, tmp_path):
+    argv = ["verify", "--theorem", "main", "--m", "2", "--n-max", "6", "--sigma", "all",
+            "--out", str(tmp_path / "report.jsonl")]
+    assert cli.main(argv) == 3
+    table = capsys.readouterr().out
+    assert "total: 570 records, 78 violations" in table
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == VERIFY_TABLE_DIGEST
+
+
 def test_verify_reports_byte_identical(tmp_path):
     outs = []
     for name in ("r1.jsonl", "r2.jsonl"):
@@ -356,6 +386,20 @@ def test_verify_wrong_size_sigma(capsys, theorem):
     )
 
 
+def test_verify_solver_rejects_nonpositive_trials(capsys):
+    assert cli.main(["verify", "--theorem", "solver", "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be >= 1, got -3\n"
+
+
+def test_verify_rejects_nonpositive_n_max(capsys):
+    assert cli.main(["verify", "--theorem", "cor", "--m", "2", "--n-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n-max must be >= 1, got 0\n"
+
+
 def test_verify_guard(capsys):
     assert cli.main(["verify", "--theorem", "cor", "--m", "2", "--n-max", "30",
                      "--sigma", "identity"]) == 2
@@ -381,6 +425,15 @@ def test_render_svg_to_file(tmp_path, plane):
 def test_render_tikz(capsys, p42):
     assert cli.main(["render", p42, "--format", "tikz"]) == 0
     assert "\\filldraw" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", ["nan", "inf", "0", "-2.5"])
+def test_render_rejects_bad_cell_size(capsys, plane, size):
+    assert cli.main(["render", plane, "--format", "svg", f"--cell-size={size}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cell-size must be finite and > 0")
+    assert captured.err.count("\n") == 1
 
 
 def test_render_unsupported(capsys, plane):

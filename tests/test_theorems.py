@@ -251,23 +251,39 @@ def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, ki
 
 
 NOT_CLOSED = [Permutation.from_one_line("2 1 3"), Permutation.from_one_line("3 1 2")]
+REPEATED = [Permutation.from_one_line(s) for s in ("2 3 1", "1 2 3", "1 3 2", "1 3 2")]
 
 
+# The main sweeps over all sigma hold 3-cycles, whose invalid candidates
+# serialize a null hybrid_cost; the euclid sweeps serialize float costs.
 @pytest.mark.parametrize(
     "theorem, m, n_max, sigmas, kind",
     [
         ("main", 2, 7, all_permutations(3), "sq"),
         ("cor", 1, 12, all_permutations(2), "euclid"),
         ("main", 2, 8, NOT_CLOSED, "sq"),
+        ("cor", 2, 6, REPEATED, "euclid"),
     ],
-    ids=["main-m2-all-sq", "cor-m1-euclid", "main-m2-not-closed-sq"],
+    ids=["main-m2-all-sq", "cor-m1-euclid", "main-m2-not-closed-sq",
+         "cor-m2-repeated-sigma-euclid"],
 )
 def test_orbit_cache_matches_the_uncached_sweep(theorem, m, n_max, sigmas, kind):
     sweep = verify_theorem_main if theorem == "main" else verify_theorem_cor
     report = sweep(m, n_max, sigmas, kind=kind)
     reference = uncached_sweep(theorem, m, n_max, sigmas, kind)
-    assert report.records == reference.records
     assert report.to_jsonl() == reference.to_jsonl()
+    assert format_summary(report) == reference.table()
+
+
+def test_report_records_match_the_uncached_sweep():
+    report = verify_theorem_main(2, 5, all_permutations(3), kind="l1")
+    reference = uncached_sweep("main", 2, 5, all_permutations(3), "l1")
+    assert report.records == reference.records
+    assert any(r["hybrid_cost"] is None for r in report.records)
+    report = verify_theorem_cor(2, 4, all_permutations(3), kind="euclid")
+    reference = uncached_sweep("cor", 2, 4, all_permutations(3), "euclid")
+    assert report.records == reference.records
+    assert any(isinstance(r["w"], float) and r["w"] > 0 for r in report.records)
 
 
 def test_size_mismatch_is_raised_before_any_solve(monkeypatch):

@@ -95,6 +95,29 @@ def test_dimension_mismatch():
         cost_matrix(measure_of(P42), measure_of(PLANE))
 
 
+@st.composite
+def point_lists(draw):
+    """Source and target int points of one dimension, some beyond 2^64."""
+    coord = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+    point = st.tuples(*[coord] * draw(st.integers(1, 4)))
+    return draw(st.lists(point, max_size=5)), draw(st.lists(point, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_lists(), st.sampled_from(["sq", "l1", "euclid"]))
+def test_cost_matrix_matches_per_entry_distances(points, kind):
+    src, dst = points
+    distance = transport.l1_distance if kind == "l1" else transport.squared_distance
+    reference = tuple(tuple(distance(a, b) for b in dst) for a in src)
+    c = cost_matrix(src, dst, kind)
+    if kind == "euclid":
+        assert c.exact_squared == reference
+        assert c.values == tuple(tuple(map(math.sqrt, row)) for row in reference)
+    else:
+        assert c.values == reference
+        assert all(type(v) is int for row in c.values for v in row)
+
+
 # ---------------------------------------------------------------------------
 # assignment solver against the exhaustive oracle
 
