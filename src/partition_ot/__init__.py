@@ -21,6 +21,7 @@ from .errors import (
 )
 from .measures import SupportDecomposition, decompose, measure_of
 from .partitions import (
+    MAX_DIMENSION,
     CellSet,
     MultiPartition,
     Permutation,
@@ -49,6 +50,7 @@ from .render import (
     render_ascii,
 )
 from .theorems import (
+    SWEEP_MAX_M,
     HybridPlanResult,
     SweepReport,
     format_summary,
@@ -70,6 +72,7 @@ from .transport import (
     integer_cost_matrix,
     is_c_cyclically_monotone,
     l1_distance,
+    optimal_total,
     plan_cost,
     plan_to_json,
     solve_assignment,

@@ -26,7 +26,12 @@ from .partitions import (
     to_json,
 )
 from .render import FORMATS, RenderSpec, UnsupportedRenderError, render
-from .theorems import format_summary, verify_theorem_cor, verify_theorem_main
+from .theorems import (
+    check_sweep_size,
+    format_summary,
+    verify_theorem_cor,
+    verify_theorem_main,
+)
 from .transport import (
     BRUTE_FORCE_MAX,
     COST_KINDS,
@@ -39,7 +44,7 @@ from .transport import (
     solve_assignment,
     solve_bruteforce,
     solve_transport,
-    wasserstein,  # unused here; bench/test_bench.py pins this binding
+    wasserstein,
 )
 
 EXIT_OK = 0
@@ -184,8 +189,11 @@ def cmd_symmetrize(args):
 def cmd_wasserstein(args):
     a = _read_partition(args.a)
     b = _read_partition(args.b)
-    c, res = solve_transport(a, b, args.cost)
-    value = plan_cost(res.matching, c)
+    if args.plan or args.certify:
+        c, res = solve_transport(a, b, args.cost)
+        value = plan_cost(res.matching, c)
+    else:
+        value = wasserstein(a, b, args.cost)
     if isinstance(value, Fraction):
         lines = [f"{value.numerator}/{value.denominator} ({float(value):.12g})"]
     else:
@@ -222,6 +230,7 @@ def cmd_verify(args):
         raise ValueError("verify needs --m and --n-max")
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    check_sweep_size(args.m)  # before the named sigma sets list S_{m+1}
     sigmas = _sigma_set(args.sigma or ["all"], args.m + 1)
     sweep = verify_theorem_main if args.theorem == "main" else verify_theorem_cor
     report = sweep(args.m, args.n_max, sigmas, kind=args.cost, max_cells=args.max_cells)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import apply_permutation, to_cells
+from .partitions import _cells, apply_permutation, to_cells
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,10 @@ def measure_of(p):
 
     Every cell carries mass 1/n, so the points alone describe the measure.
     Their sorted order fixes the row and column indexing used by cost
-    matrices and plans downstream.
+    matrices and plans downstream.  The cells are not checked again: p was
+    validated where it was built.
     """
-    return tuple(sorted(to_cells(p).cells))
+    return tuple(sorted(_cells(p)))
 
 
 def decompose(p, sigma):

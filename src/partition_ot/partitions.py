@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .errors import (
     EnumerationTooLargeError,
+    InstanceTooLargeError,
     NonPositiveEntryError,
     NotDownSetError,
     NotMonotoneError,
@@ -30,6 +31,10 @@ from .errors import (
 # Enumeration refuses n above these cell counts unless overridden.
 DEFAULT_MAX_CELLS = {1: 12, 2: 12}
 FALLBACK_MAX_CELLS = 8  # m >= 3
+# Enumeration refuses larger m: building, walking and printing a partition
+# recurse once per dimension, and m = 500 already exceeded Python's default
+# recursion limit of 1000 frames.
+MAX_DIMENSION = 400
 
 
 def default_max_cells(m):
@@ -66,6 +71,14 @@ class CellSet:
 
     def __post_init__(self):
         _check_cells(self.m, self.cells)
+
+    @classmethod
+    def _trusted(cls, m, cells):
+        """A CellSet of cells known to form a down-set, built without the check."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "m", m)
+        object.__setattr__(c, "cells", cells)
+        return c
 
     @property
     def n(self):
@@ -307,12 +320,16 @@ def _nest(heights, prefix, remaining):
 
 
 def apply_permutation(c, sigma):
-    """Image of a cell set under a coordinate permutation."""
+    """Image of a cell set under a coordinate permutation.
+
+    `c` was checked when it was built, and permuting coordinates maps a
+    down-set to a down-set, so the image is not checked again.
+    """
     if sigma.size != c.m + 1:
         raise SizeMismatchError(
             f"permutation of size {sigma.size} cannot act on {c.m + 1} coordinates"
         )
-    return CellSet(m=c.m, cells=frozenset(sigma.apply_to_cell(x) for x in c.cells))
+    return CellSet._trusted(c.m, frozenset(map(sigma.apply_to_cell, c.cells)))
 
 
 def symmetrize(p, sigma):
@@ -357,6 +374,10 @@ def _check_guard(m, n, max_cells):
         raise ValueError(f"dimension m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"total n must be >= 1, got {n}")
+    if m > MAX_DIMENSION:
+        raise InstanceTooLargeError(
+            f"m={m} exceeds the dimension guard {MAX_DIMENSION}"
+        )
     limit = default_max_cells(m) if max_cells is None else max_cells
     if n > limit:
         raise EnumerationTooLargeError(
@@ -377,7 +398,7 @@ def _entry_trees(m, n):
     out = []
     for first_size in range(n, 0, -1):
         for first in _entry_trees(m - 1, first_size):
-            out.extend(_extended(m - 1, first, n - first_size, (first,)))
+            out.extend(_extended(m - 1, first, first_size, n - first_size, (first,)))
     return tuple(out)
 
 
@@ -390,24 +411,30 @@ def _decreasing_rows(n, max_part):
             yield (first,) + rest
 
 
-def _extended(sub_m, prev, remaining, acc):
+def _extended(sub_m, prev, prev_size, remaining, acc):
     if remaining == 0:
         yield acc
         return
-    cap = min(remaining, _tree_sum(prev))
-    for size in range(cap, 0, -1):
+    for size in range(min(remaining, prev_size), 0, -1):
         for layer in _entry_trees(sub_m, size):
             if _dominated(layer, prev):
-                yield from _extended(sub_m, layer, remaining - size, acc + (layer,))
+                yield from _extended(
+                    sub_m, layer, size, remaining - size, acc + (layer,)
+                )
 
 
 def _dominated(q, p):
-    if isinstance(q, int):
-        return q <= p
-    return len(q) <= len(p) and all(_dominated(a, b) for a, b in zip(q, p))
+    """True when layer q lies under layer p: inside its support, entrywise <=.
 
-
-def _tree_sum(node):
-    if isinstance(node, int):
-        return node
-    return sum(_tree_sum(child) for child in node)
+    Iterative, so its depth does not grow with the dimension.
+    """
+    pairs = [(q, p)]
+    for a, b in pairs:
+        if isinstance(a, int):
+            if a > b:
+                return False
+        elif len(a) > len(b):
+            return False
+        else:
+            pairs.extend(zip(a, b))
+    return True

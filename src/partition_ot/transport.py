@@ -61,13 +61,11 @@ class CostMatrix:
     """Pairwise costs between a source and a target point list.
 
     `values` holds exact non-negative integers for the "sq" and "l1" kinds
-    and floats for "euclid"; in the latter case `exact_squared` keeps the
-    integer squared distances for exact zero tests.
+    and floats for "euclid".
     """
 
     kind: str
     values: tuple
-    exact_squared: tuple = None
 
     @property
     def rows(self):
@@ -87,8 +85,7 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
     """
-    if kind not in COST_KINDS:
-        raise ValueError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
+    _check_kind(kind)
     if src and dst and len(src[0]) != len(dst[0]):
         raise DimensionMismatchError(
             f"source dimension {len(src[0])} != target dimension {len(dst[0])}"
@@ -114,11 +111,16 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
                 ]
             )
         )
-    sq = tuple(rows)
     if kind == SQUARED_EUCLIDEAN:
-        return CostMatrix(kind=kind, values=sq)
-    floats = tuple(tuple(math.sqrt(v) for v in row) for row in sq)
-    return CostMatrix(kind=kind, values=floats, exact_squared=sq)
+        return CostMatrix(kind=kind, values=tuple(rows))
+    return CostMatrix(
+        kind=kind, values=tuple(tuple(map(math.sqrt, row)) for row in rows)
+    )
+
+
+def _check_kind(kind):
+    if kind not in COST_KINDS:
+        raise ValueError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
 
 
 def integer_cost_matrix(values, kind=SQUARED_EUCLIDEAN):
@@ -395,23 +397,59 @@ def solve_transport(a, b, kind=SQUARED_EUCLIDEAN):
     This one solve fixes everything about a query: the distance, the plan
     and any check of the solver against the oracle.
     """
-    if a.m != b.m or a.n != b.n:
-        raise ShapeMismatchError(
-            f"cannot transport between (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
-        )
-    _check_assignment_size(a.n)
+    _check_transport_shapes(a, b)
     c = cost_matrix(measure_of(a), measure_of(b), kind)
     return c, solve_assignment(c)
+
+
+def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
+    """Optimal assignment total between two sorted tuples of distinct points.
+
+    The value alone, with no matching, from the smallest solve that fixes
+    it exactly:
+
+    * `src == dst`: 0 with no solve, for every kind.  Distinct points cost
+      0 only on the diagonal, so the identity is the unique optimum.
+    * "l1": the solve on the moved points only.  For a metric cost the
+      optimum depends only on mu - nu (Kantorovich-Rubinstein duality), and
+      the shared points cancel there.
+    * otherwise the full solve.  "sq" is no metric: a moved point can relay
+      through a shared one, so dropping shared points changes the optimum.
+      "euclid" is a metric, but its float total over the moved points can
+      differ from the full one in the last bit.
+
+    Every solve goes through `solve_assignment`, which checks its dual
+    certificate.  Returns an int for the exact kinds and a float for
+    "euclid".
+    """
+    _check_kind(kind)
+    _check_assignment_size(len(src))
+    if src == dst:
+        return 0.0 if kind == EUCLIDEAN else 0
+    if kind == L1:
+        shared = set(src).intersection(dst)
+        src = [x for x in src if x not in shared]
+        dst = [y for y in dst if y not in shared]
+    return solve_assignment(cost_matrix(src, dst, kind)).total
 
 
 def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
     """Minimum transport cost between the diagram measures of two partitions.
 
     Returns an exact Fraction for the integer cost kinds and a float for
-    "euclid" (see `plan_cost`).
+    "euclid", as `plan_cost` does for an optimal plan.
     """
-    c, res = solve_transport(a, b, kind)
-    return plan_cost(res.matching, c)
+    _check_transport_shapes(a, b)
+    total = optimal_total(measure_of(a), measure_of(b), kind)
+    return total / a.n if kind == EUCLIDEAN else Fraction(total, a.n)
+
+
+def _check_transport_shapes(a, b):
+    if a.m != b.m or a.n != b.n:
+        raise ShapeMismatchError(
+            f"cannot transport between (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"
+        )
+    _check_assignment_size(a.n)
 
 
 def wasserstein_is_zero(a, b):

@@ -61,6 +61,30 @@ def test_enumerate_guard_exit_code(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--m", "2000", "--n", "1"],
+        ["verify", "--theorem", "cor", "--m", "700", "--n-max", "1", "--sigma",
+         "identity"],
+    ],
+    ids=["enumerate", "verify"],
+)
+def test_dimension_guards_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    m = argv[argv.index("--m") + 1]
+    assert captured.err.startswith(f"error: m={m} exceeds the ")
+    assert captured.err.count("\n") == 1
+
+
+def test_enumerate_at_the_dimension_guard(capsys):
+    assert cli.main(["enumerate", "--m", "400", "--n", "1"]) == 0
+    entries = "[" * 400 + "1" + "]" * 400
+    assert capsys.readouterr().out == '{"m":400,"entries":' + entries + "}\n"
+
+
 def test_enumerate_guard_override(capsys):
     assert cli.main(
         ["enumerate", "--m", "1", "--n", "13", "--count", "--max-cells", "13"]
@@ -403,6 +427,28 @@ def test_verify_rejects_nonpositive_n_max(capsys):
 def test_verify_guard(capsys):
     assert cli.main(["verify", "--theorem", "cor", "--m", "2", "--n-max", "30",
                      "--sigma", "identity"]) == 2
+
+
+@pytest.mark.parametrize("m, sigma", [(8, "identity"), (9, "all")])
+def test_verify_sweep_guard(capsys, m, sigma):
+    # refused before S_{m+1} is listed, so "all" at m = 9 exits at once
+    argv = ["verify", "--theorem", "cor", "--m", str(m), "--n-max", "1",
+            "--sigma", sigma]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: m={m} exceeds the sweep guard 7: "
+        "orbits need all (m + 1)! axis relabellings\n"
+    )
+
+
+def test_verify_at_the_sweep_guard(capsys):
+    argv = ["verify", "--theorem", "cor", "--m", "7", "--n-max", "2",
+            "--sigma", "identity"]
+    assert cli.main(argv) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (summary["records"], summary["violations"]) == (9, 0)
 
 
 # ---------------------------------------------------------------------------

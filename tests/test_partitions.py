@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from partition_ot import (
+    MAX_DIMENSION,
     CellSet,
     InstanceTooLargeError,
     MultiPartition,
@@ -19,6 +20,7 @@ from partition_ot import (
     from_json,
     involutions,
     is_self_symmetric,
+    measure_of,
     symmetrize,
     to_cells,
     to_json,
@@ -116,6 +118,29 @@ def test_cellset_rejects_holes():
         CellSet(m=1, cells=frozenset({(1, 1)}))
 
 
+def test_from_cells_input_is_checked():
+    with pytest.raises(NotDownSetError, match=r"cell \(0, 1, 1\) present"):
+        from_cells(CellSet(m=2, cells=frozenset({(0, 0, 0), (0, 1, 1)})))
+
+
+def test_cells_are_checked_only_where_they_enter(monkeypatch):
+    from partition_ot import partitions
+
+    checked = []
+    monkeypatch.setattr(
+        partitions, "_check_cells", lambda m, cells: checked.append(cells)
+    )
+    p = validate_array([[2, 1], [1]], 2)
+    c = to_cells(p)
+    assert checked == [c.cells]
+    for sigma in all_permutations(3):
+        image = apply_permutation(c, sigma)
+        assert image.m == 2
+        assert image.cells == {sigma.apply_to_cell(x) for x in c.cells}
+    assert measure_of(p) == tuple(sorted(c.cells))
+    assert checked == [c.cells]
+
+
 def test_round_trips():
     for m, n_max in ((1, 7), (2, 5), (3, 4)):
         for p in sample_partitions(m, n_max):
@@ -177,6 +202,14 @@ def test_enumeration_guard():
     with pytest.raises(InstanceTooLargeError):
         enumerate_partitions(3, 9)
     assert count_partitions(1, 13, max_cells=13) == 101
+
+
+def test_dimension_guard():
+    with pytest.raises(InstanceTooLargeError, match="m=401 exceeds the dimension guard"):
+        enumerate_partitions(MAX_DIMENSION + 1, 1)
+    # layers are compared without recursion, so n = 2 reaches the guard too
+    assert count_partitions(MAX_DIMENSION, 1) == 1
+    assert count_partitions(MAX_DIMENSION, 2) == MAX_DIMENSION + 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_ot import (
+    SWEEP_MAX_M,
+    InstanceTooLargeError,
     NonIntegerCostsError,
     Permutation,
     SizeMismatchError,
     all_permutations,
     check_certificate,
+    cost_matrix,
     count_partitions,
     enumerate_partitions,
     format_summary,
     hybrid_plan,
     involutions,
     measure_of,
+    plan_cost,
+    solve_assignment,
     symmetrize,
     validate_array,
     verify_theorem_cor,
     verify_theorem_main,
 )
-from partition_ot import theorems
+from partition_ot import theorems, transport
 
 from uncached_sweep import uncached_sweep
 
@@ -175,24 +180,29 @@ def _conjugate(tau, sigma):
     return tau.compose(sigma).compose(tau.inverse())
 
 
-def _orbit_count(m, n_max, sigmas):
-    """Orbits met by a sweep's instances, by brute force over S_{m+1}."""
+def _orbits(m, n_max, sigmas):
+    """Orbits met by a sweep's instances, by brute force over S_{m+1}.
+
+    Maps each orbit to (n, k): its partitions' total and the number of
+    cells that sigma moves, the same on every instance of the orbit.
+    """
     group = all_permutations(m + 1)
-    orbits = set()
+    orbits = {}
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(m, n):
+            src = measure_of(p)
             images = [
-                tuple(sorted(tau.apply_to_cell(cell) for cell in measure_of(p)))
+                tuple(sorted(tau.apply_to_cell(cell) for cell in src))
                 for tau in group
             ]
             for sigma in sigmas:
-                orbits.add(
-                    frozenset(
-                        (image, _conjugate(tau, sigma).images)
-                        for tau, image in zip(group, images)
-                    )
+                key = frozenset(
+                    (image, _conjugate(tau, sigma).images)
+                    for tau, image in zip(group, images)
                 )
-    return len(orbits)
+                moved = set(src) - {sigma.apply_to_cell(cell) for cell in src}
+                orbits[key] = (n, len(moved))
+    return orbits
 
 
 @settings(max_examples=300, deadline=None)
@@ -236,6 +246,9 @@ def test_orbit_keys_differ_across_orbits(instance, data):
     ],
 )
 def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, kind):
+    # One solve per orbit that moves cells: an orbit whose image is its
+    # diagram has optimum 0 and no solve.  "l1" solves the k x k problem
+    # on the k moved cells, the other kinds the full n x n problem.
     solved = []
 
     def recording(c):
@@ -243,11 +256,52 @@ def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, ki
         solved.append((c, res))
         return res
 
-    solve = theorems.solve_assignment
-    monkeypatch.setattr(theorems, "solve_assignment", recording)
+    solve = transport.solve_assignment
+    monkeypatch.setattr(transport, "solve_assignment", recording)
     report = sweep(m, n_max, sigmas, kind=kind)
-    assert len(solved) == _orbit_count(m, n_max, sigmas) < report.summary["records"]
+    orbits = _orbits(m, n_max, sigmas)
+    moved = [(n, k) for n, k in orbits.values() if k]
+    assert len(solved) == len(moved) < len(orbits) < report.summary["records"]
     assert all(check_certificate(c, res) for c, res in solved)
+    expected = sorted(k if kind == "l1" else n for n, k in moved)
+    assert sorted(c.rows for c, _ in solved) == expected
+    assert any(k < n for n, k in moved)
+
+
+def _full_solve_fields(theorem, p, sigma, kind):
+    """A record's claim fields from the full n x n cost matrix and solve."""
+    src = measure_of(p)
+    dst = tuple(sorted(sigma.apply_to_cell(cell) for cell in src))
+    c = cost_matrix(src, dst, kind)
+    optimal = plan_cost(solve_assignment(c).matching, c)
+    if theorem == "cor":
+        return {"w": [optimal.numerator, optimal.denominator], "w_zero": optimal == 0}
+    targets = [cell if cell in dst else sigma.apply_to_cell(cell) for cell in src]
+    valid = len(set(targets)) == len(src)
+    cost = plan_cost(tuple(map(dst.index, targets)), c) if valid else None
+    return {
+        "hybrid_valid": valid,
+        "hybrid_cost": None if cost is None else [cost.numerator, cost.denominator],
+        "optimal_cost": [optimal.numerator, optimal.denominator],
+        "matches_optimum": cost == optimal,
+    }
+
+
+@pytest.mark.parametrize(
+    "theorem, m, n_max",
+    [("cor", 1, 12), ("cor", 2, 8), ("cor", 3, 6), ("main", 1, 12), ("main", 2, 8),
+     ("main", 3, 6)],
+)
+def test_l1_sweep_records_match_a_full_solve_reference(theorem, m, n_max):
+    sweep = verify_theorem_main if theorem == "main" else verify_theorem_cor
+    sigmas = all_permutations(m + 1)
+    records = iter(sweep(m, n_max, sigmas, kind="l1").records)
+    for n in range(1, n_max + 1):
+        for p in enumerate_partitions(m, n):
+            for sigma in sigmas:
+                expected = _full_solve_fields(theorem, p, sigma, "l1")
+                record = next(records)
+                assert {key: record[key] for key in expected} == expected
 
 
 NOT_CLOSED = [Permutation.from_one_line("2 1 3"), Permutation.from_one_line("3 1 2")]
@@ -290,10 +344,16 @@ def test_size_mismatch_is_raised_before_any_solve(monkeypatch):
     def refuse(c):
         raise AssertionError("solved before the size check")
 
-    monkeypatch.setattr(theorems, "solve_assignment", refuse)
+    monkeypatch.setattr(transport, "solve_assignment", refuse)
     sigmas = [Permutation.identity(3), SWAP]
     with pytest.raises(SizeMismatchError, match="permutation of size 2 cannot act on 3"):
         verify_theorem_cor(2, 3, sigmas)
+
+
+def test_sweep_guard():
+    m = SWEEP_MAX_M + 1
+    with pytest.raises(InstanceTooLargeError, match="m=8 exceeds the sweep guard 7"):
+        verify_theorem_main(m, 1, [Permutation.identity(m + 1)])
 
 
 def test_record_count_invariant():

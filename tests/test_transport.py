@@ -23,6 +23,7 @@ from partition_ot import (
     integer_cost_matrix,
     is_c_cyclically_monotone,
     measure_of,
+    optimal_total,
     plan_cost,
     plan_to_json,
     solve_assignment,
@@ -86,7 +87,6 @@ def test_l1_and_euclid_kinds():
     assert c1.values[i][j] == 4
     ce = pair_measures(P42, P2211, "euclid")
     assert ce.values[i][j] == pytest.approx(math.sqrt(8))
-    assert ce.exact_squared[i][j] == 8
     assert not ce.is_exact
 
 
@@ -111,7 +111,6 @@ def test_cost_matrix_matches_per_entry_distances(points, kind):
     reference = tuple(tuple(distance(a, b) for b in dst) for a in src)
     c = cost_matrix(src, dst, kind)
     if kind == "euclid":
-        assert c.exact_squared == reference
         assert c.values == tuple(tuple(map(math.sqrt, row)) for row in reference)
     else:
         assert c.values == reference
@@ -371,6 +370,54 @@ def test_solve_transport_is_the_one_solve(kind):
     assert c == pair_measures(P42, P2211, kind)
     assert res == solve_assignment(c)
     assert plan_cost(res.matching, c) == wasserstein(P42, P2211, kind)
+
+
+# ---------------------------------------------------------------------------
+# the value helper: no solve when nothing moves, the moved cells under l1
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one m <= 3 and n <= 7; often p and a sigma-image."""
+    m = draw(st.integers(1, 3))
+    parts = enumerate_partitions(m, draw(st.integers(1, 7)))
+    p = draw(st.sampled_from(parts))
+    if draw(st.booleans()):
+        return p, symmetrize(p, draw(st.sampled_from(all_permutations(m + 1))))
+    return p, draw(st.sampled_from(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_pairs(), st.sampled_from(["sq", "l1", "euclid"]))
+def test_optimal_total_equals_the_full_solve(pair, kind):
+    src, dst = map(measure_of, pair)
+    full = solve_assignment(cost_matrix(src, dst, kind)).total
+    total = optimal_total(src, dst, kind)
+    assert total == full
+    assert type(total) is type(full)
+    if src == dst:
+        assert total == 0
+
+
+def test_optimal_total_never_drops_shared_cells_under_squared_cost():
+    # Under "sq" the moved cells of (4,2) and its reflection cost 26 among
+    # themselves, the 13/3 candidate; relaying through shared cells costs 14.
+    src, dst = measure_of(P42), measure_of(P2211)
+    shared = set(src) & set(dst)
+    moved = [x for x in src if x not in shared], [y for y in dst if y not in shared]
+    assert solve_assignment(cost_matrix(*moved, "sq")).total == 26
+    assert optimal_total(src, dst, "sq") == 14 == 6 * wasserstein(P42, P2211)
+    reduced_l1 = solve_assignment(cost_matrix(*moved, "l1")).total
+    assert optimal_total(src, dst, "l1") == 10 == reduced_l1
+
+
+def test_optimal_total_checks_kind_and_size(monkeypatch):
+    src = measure_of(P42)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        optimal_total(src, src, "l2")
+    monkeypatch.setattr(transport, "ASSIGNMENT_MAX_N", 5)
+    with pytest.raises(InstanceTooLargeError, match="n=6 exceeds the assignment guard 5"):
+        optimal_total(src, src, "sq")
 
 
 @pytest.mark.parametrize("kind", ["l1", "sq"])
