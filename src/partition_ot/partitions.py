@@ -47,7 +47,9 @@ class MultiPartition:
 
     `entries` is a nested tuple of depth `m` with the parts at the leaves.
     Index tuples are 1-based; the index support is a down-set and the parts
-    weakly decrease along every axis.
+    weakly decrease along every axis.  The constructor checks none of this:
+    `validate_array`, `from_json` and `enumerate_partitions` build only
+    valid partitions, and `check_diagram` checks one built directly.
     """
 
     m: int
@@ -257,6 +259,11 @@ def _listify(node):
 def to_cells(p):
     """Diagram cells of a partition: one (m+1)-tuple per stacked unit."""
     return CellSet(m=p.m, cells=frozenset(_cells(p)))
+
+
+def check_diagram(p):
+    """Raise NotDownSetError unless the cells of p's diagram form a down-set."""
+    _check_cells(p.m, frozenset(_cells(p)))
 
 
 def _cells(p):

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
 from .measures import measure_of
-from .partitions import enumerate_partitions, to_json
+from .partitions import check_diagram, enumerate_partitions, to_json
 from .transport import (
     EUCLIDEAN,
     L1,
@@ -97,6 +97,7 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
     """
+    check_diagram(p)
     return _hybrid(measure_of(p), sigma, kind)
 
 
@@ -115,8 +116,9 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
 
     Checks (distance == 0) <=> (diagram fixed by sigma) for every instance.
     The zero side is decided exactly for every kind: integer kinds compare
-    the rational value, "euclid" sums the integer squared costs over the
-    solver's matching, which vanish on exactly the same matchings.
+    the rational value.  Under "euclid" every nonzero cost is the square
+    root of an integer >= 1, so the float total is 0 only when every
+    matched cost is.
     """
     return _sweep("cor", m, n_max, sigmas, kind, max_cells, _cor_record, _cor_counts)
 

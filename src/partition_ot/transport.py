@@ -30,6 +30,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
+from .partitions import check_diagram
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -397,22 +398,22 @@ def solve_transport(a, b, kind=SQUARED_EUCLIDEAN):
     This one solve fixes everything about a query: the distance, the plan
     and any check of the solver against the oracle.
     """
-    _check_transport_shapes(a, b)
+    _check_transport_inputs(a, b)
     c = cost_matrix(measure_of(a), measure_of(b), kind)
     return c, solve_assignment(c)
 
 
 def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
-    """Optimal assignment total between two sorted tuples of distinct points.
+    """Optimal assignment total between two equal-length point tuples.
 
     The value alone, with no matching, from the smallest solve that fixes
     it exactly:
 
-    * `src == dst`: 0 with no solve, for every kind.  Distinct points cost
-      0 only on the diagonal, so the identity is the unique optimum.
+    * `src == dst`: 0 with no solve, for every kind.  No cost is negative
+      and the identity costs 0.
     * "l1": the solve on the moved points only.  For a metric cost the
       optimum depends only on mu - nu (Kantorovich-Rubinstein duality), and
-      the shared points cancel there.
+      the shared points cancel there, counted with multiplicity.
     * otherwise the full solve.  "sq" is no metric: a moved point can relay
       through a shared one, so dropping shared points changes the optimum.
       "euclid" is a metric, but its float total over the moved points can
@@ -427,9 +428,13 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
     if src == dst:
         return 0.0 if kind == EUCLIDEAN else 0
     if kind == L1:
-        shared = set(src).intersection(dst)
-        src = [x for x in src if x not in shared]
-        dst = [y for y in dst if y not in shared]
+        dst, moved = list(dst), []
+        for x in src:  # each shared copy cancels one copy on the other side
+            if x in dst:
+                dst.remove(x)
+            else:
+                moved.append(x)
+        src = moved
     return solve_assignment(cost_matrix(src, dst, kind)).total
 
 
@@ -439,12 +444,14 @@ def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
     Returns an exact Fraction for the integer cost kinds and a float for
     "euclid", as `plan_cost` does for an optimal plan.
     """
-    _check_transport_shapes(a, b)
+    _check_transport_inputs(a, b)
     total = optimal_total(measure_of(a), measure_of(b), kind)
     return total / a.n if kind == EUCLIDEAN else Fraction(total, a.n)
 
 
-def _check_transport_shapes(a, b):
+def _check_transport_inputs(a, b):
+    check_diagram(a)
+    check_diagram(b)
     if a.m != b.m or a.n != b.n:
         raise ShapeMismatchError(
             f"cannot transport between (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"

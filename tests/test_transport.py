@@ -13,6 +13,8 @@ from partition_ot import (
     ASSIGNMENT_MAX_N,
     DimensionMismatchError,
     InstanceTooLargeError,
+    MultiPartition,
+    NotDownSetError,
     NotSquareError,
     Permutation,
     ShapeMismatchError,
@@ -20,6 +22,7 @@ from partition_ot import (
     check_certificate,
     cost_matrix,
     enumerate_partitions,
+    hybrid_plan,
     integer_cost_matrix,
     is_c_cyclically_monotone,
     measure_of,
@@ -411,6 +414,28 @@ def test_optimal_total_never_drops_shared_cells_under_squared_cost():
     assert optimal_total(src, dst, "l1") == 10 == reduced_l1
 
 
+def test_optimal_total_cancels_shared_points_with_multiplicity():
+    # one shared copy of a and one of b cancel; a must still move to b
+    a, b = (0, 0), (2, 1)
+    assert optimal_total((a, a, b), (a, b, b), "l1") == 3 == transport.l1_distance(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            *[st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       min_size=n, max_size=n)] * 2
+        )
+    ),
+    st.sampled_from(["sq", "l1", "euclid"]),
+)
+def test_optimal_total_on_repeated_points_equals_the_full_solve(pair, kind):
+    src, dst = (tuple(sorted(x)) for x in pair)
+    full = solve_assignment(cost_matrix(src, dst, kind)).total
+    assert optimal_total(src, dst, kind) == full
+
+
 def test_optimal_total_checks_kind_and_size(monkeypatch):
     src = measure_of(P42)
     with pytest.raises(ValueError, match="unknown cost kind"):
@@ -418,6 +443,19 @@ def test_optimal_total_checks_kind_and_size(monkeypatch):
     monkeypatch.setattr(transport, "ASSIGNMENT_MAX_N", 5)
     with pytest.raises(InstanceTooLargeError, match="n=6 exceeds the assignment guard 5"):
         optimal_total(src, src, "sq")
+
+
+def test_directly_built_partitions_are_checked_at_the_entry_points():
+    # MultiPartition(...) checks nothing; (1, 2) has a cell above a hole
+    bad, good = MultiPartition(1, (1, 2), 3), validate_array([2, 1], 1)
+    with pytest.raises(NotDownSetError):
+        wasserstein(bad, good)
+    with pytest.raises(NotDownSetError):
+        wasserstein(good, bad, "l1")
+    with pytest.raises(NotDownSetError):
+        solve_transport(good, bad)
+    with pytest.raises(NotDownSetError):
+        hybrid_plan(bad, Permutation.from_one_line("2 1"))
 
 
 @pytest.mark.parametrize("kind", ["l1", "sq"])
