@@ -31,7 +31,7 @@ from .errors import (
 # Enumeration refuses n above these cell counts unless overridden.
 DEFAULT_MAX_CELLS = {1: 12, 2: 12}
 FALLBACK_MAX_CELLS = 8  # m >= 3
-# Enumeration refuses larger m: building, walking and printing a partition
+# Enumeration refuses larger m: building and printing a partition
 # recurse once per dimension, and m = 500 already exceeded Python's default
 # recursion limit of 1000 frames.
 MAX_DIMENSION = 400
@@ -58,7 +58,7 @@ class MultiPartition:
 
     def items(self):
         """Yield ((i_1, ..., i_m), part) pairs in index order, 1-based."""
-        yield from _walk(self.entries, (), self.m)
+        yield from _leaves(self.entries, self.m, 1)
 
     def __str__(self):
         return str(_listify(self.entries))
@@ -182,7 +182,7 @@ def validate_array(raw, m):
     if not _has_length(raw) or len(raw) == 0:
         raise NonPositiveEntryError("a partition needs at least one positive part")
     entries = _freeze(raw, m, ())
-    parts = dict(_walk(entries, (), m))
+    parts = dict(_leaves(entries, m, 1))
     support = set(parts)
     for idx in support:
         for j in range(m):
@@ -238,12 +238,21 @@ def _freeze(node, depth, where):
     )
 
 
-def _walk(node, prefix, depth):
-    if depth == 0:
-        yield prefix, node
-        return
-    for i, child in enumerate(node, start=1):
-        yield from _walk(child, prefix + (i,), depth - 1)
+def _leaves(entries, depth, start):
+    """(index tuple, part) pairs of a depth-`depth` nested tuple, in index order.
+
+    Indices count from `start`.  One level at a time, each node's children
+    in order, so the last level lists the leaves in lexicographic index
+    order, with no recursion.
+    """
+    level = [((), entries)]
+    for _ in range(depth):
+        level = [
+            (prefix + (i,), child)
+            for prefix, node in level
+            for i, child in enumerate(node, start)
+        ]
+    return level
 
 
 def _listify(node):
@@ -269,8 +278,7 @@ def check_diagram(p):
 def _cells(p):
     """The cells of p's diagram as a plain list, unchecked."""
     cells = []
-    for idx, part in p.items():
-        base = tuple(i - 1 for i in idx)
+    for base, part in _leaves(p.entries, p.m, 0):
         cells.extend((a,) + base for a in range(part))
     return cells
 

@@ -19,7 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from functools import partial, reduce
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -81,42 +82,46 @@ class CostMatrix:
         return self.kind != EUCLIDEAN
 
 
+_add_terms = partial(map, add)  # element-wise sum of two term lists
+
+
 def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     """Costs between all pairs of two point tuples of equal dimension.
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
     """
     _check_kind(kind)
-    if src and dst and len(src[0]) != len(dst[0]):
+    dim = len(src[0]) if src else 0
+    if src and dst and dim != len(dst[0]):
         raise DimensionMismatchError(
-            f"source dimension {len(src[0])} != target dimension {len(dst[0])}"
+            f"source dimension {dim} != target dimension {len(dst[0])}"
         )
-    if kind == L1:
-        return CostMatrix(
-            kind=kind,
-            values=tuple(
-                tuple([sum(map(abs, map(sub, a, b))) for b in dst]) for a in src
-            ),
-        )
-    # |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, exact on ints, one norm per point
-    dst_norms = [sum(map(mul, b, b)) for b in dst]
+    if not dim:  # no rows, or zero-dimensional points, which all coincide
+        zero = 0.0 if kind == EUCLIDEAN else 0
+        return CostMatrix(kind=kind, values=((zero,) * len(dst),) * len(src))
+    # Each cost is a sum of one term per coordinate, so a row is the sum of
+    # one term list per coordinate.  Cell coordinates take few values, and
+    # each coordinate value's terms against `dst` are built once, on first use.
+    cols = list(zip(*dst)) if dst else [()] * dim
+    tables = [{} for _ in cols]
+    l1 = kind == L1
     rows = []
     for a in src:
-        a_norm = sum(map(mul, a, a))
-        minus_twice = [-2 * x for x in a]
-        rows.append(
-            tuple(
-                [
-                    a_norm + b_norm + sum(map(mul, minus_twice, b))
-                    for b, b_norm in zip(dst, dst_norms)
-                ]
-            )
+        terms = []
+        for x, col, table in zip(a, cols, tables):
+            t = table.get(x)
+            if t is None:
+                if l1:
+                    t = table[x] = [abs(x - y) for y in col]
+                else:
+                    t = table[x] = [(x - y) * (x - y) for y in col]
+            terms.append(t)
+        rows.append(tuple(reduce(_add_terms, terms)))
+    if kind == EUCLIDEAN:
+        return CostMatrix(
+            kind=kind, values=tuple(tuple(map(math.sqrt, row)) for row in rows)
         )
-    if kind == SQUARED_EUCLIDEAN:
-        return CostMatrix(kind=kind, values=tuple(rows))
-    return CostMatrix(
-        kind=kind, values=tuple(tuple(map(math.sqrt, row)) for row in rows)
-    )
+    return CostMatrix(kind=kind, values=tuple(rows))
 
 
 def _check_kind(kind):
@@ -185,11 +190,17 @@ def solve_assignment(c):
     col_of, u, v = _shortest_augmenting_paths(costs)
     tight = []
     for i, row in enumerate(costs):
+        # c_ij - v_j is the reduced cost plus u_i: feasible where it is
+        # >= u_i and tight where it equals u_i
+        shifted = list(map(sub, row, v))
         ui = u[i]
-        reduced = [cij - ui - vj for cij, vj in zip(row, v)]
-        if min(reduced) < 0:
+        if min(shifted) < ui:
             raise RuntimeError(f"assignment dual infeasible in row {i}")
-        tight.append([j for j, r in enumerate(reduced) if not r])
+        js, j = [], -1
+        for _ in range(shifted.count(ui)):
+            j = shifted.index(ui, j + 1)
+            js.append(j)
+        tight.append(js)
     matching = _lex_smallest_tight_matching(tight, col_of)
     # with every reduced cost >= 0, equal sums force a zero on each matched pair
     grid_total = sum(row[j] for row, j in zip(costs, matching))
@@ -462,11 +473,12 @@ def _check_transport_inputs(a, b):
 def wasserstein_is_zero(a, b):
     """Exact zero test for the distance, valid for every cost kind.
 
-    All kinds vanish only on coinciding points, so the distance is zero
-    under one kind exactly when it is zero under all; the test runs on the
-    integer squared-Euclidean costs.
+    Every kind costs 0 only on coinciding points, so a plan costs 0 exactly
+    when it matches each cell to itself: the distance is zero under every
+    kind exactly when the two diagrams are equal.  No solve is needed.
     """
-    return wasserstein(a, b, SQUARED_EUCLIDEAN) == 0
+    _check_transport_inputs(a, b)
+    return measure_of(a) == measure_of(b)
 
 
 def plan_cost(matching, c):

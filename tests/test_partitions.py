@@ -1,6 +1,9 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_ot import (
     MAX_DIMENSION,
@@ -27,6 +30,9 @@ from partition_ot import (
     validate_array,
 )
 
+from partition_ot import partitions
+
+import walk_reference
 from downset_oracle import oracle_cell_sets, oracle_count
 
 # frozen from the independent down-set oracle (re-checked below)
@@ -306,3 +312,43 @@ def test_json_round_trip():
     assert to_json(from_json(doc)) == doc
     doc2 = {"m": 2, "entries": [[2, 1], [1]]}
     assert to_json(from_json(doc2)) == doc2
+
+
+# ---------------------------------------------------------------------------
+# walking the nested entries
+
+
+def ragged_arrays(depth):
+    if depth == 0:
+        return st.integers(1, 4)
+    return st.lists(ragged_arrays(depth - 1), min_size=1, max_size=3)
+
+
+def frozen(node):
+    return tuple(map(frozen, node)) if isinstance(node, list) else node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), ragged_arrays(m))))
+def test_walks_follow_the_recursive_reference(case):
+    """items(), the cell list and validate_array's walk visit the same
+    (index, part) pairs in the same order as a recursive walk, valid
+    partition or not."""
+    m, raw = case
+    entries = frozen(raw)
+    expected = list(walk_reference.walk(entries, (), m))
+    p = MultiPartition(m=m, entries=entries, n=sum(part for _, part in expected))
+    assert list(p.items()) == expected
+    assert partitions._cells(p) == walk_reference.cells(entries, m)
+    real, walks = partitions._leaves, []
+
+    def recording(*args):
+        walks.append(real(*args))
+        return walks[-1]
+
+    with mock.patch.object(partitions, "_leaves", recording):
+        try:
+            assert validate_array(raw, m).n == p.n
+        except (NotDownSetError, NotMonotoneError):
+            pass
+    assert walks == [expected]

@@ -106,8 +106,18 @@ def point_lists(draw):
     return draw(st.lists(point, max_size=5)), draw(st.lists(point, max_size=5))
 
 
-@settings(max_examples=300, deadline=None)
-@given(point_lists(), st.sampled_from(["sq", "l1", "euclid"]))
+@st.composite
+def repeated_point_lists(draw):
+    """Up to 30 points a side with coordinates in 0..4, so that coordinate
+    values recur and `cost_matrix` reuses their term lists."""
+    point = st.tuples(*[st.integers(0, 4)] * draw(st.integers(1, 6)))
+    return draw(st.lists(point, max_size=30)), draw(st.lists(point, max_size=30))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    point_lists() | repeated_point_lists(), st.sampled_from(["sq", "l1", "euclid"])
+)
 def test_cost_matrix_matches_per_entry_distances(points, kind):
     src, dst = points
     distance = transport.l1_distance if kind == "l1" else transport.squared_distance
@@ -118,6 +128,15 @@ def test_cost_matrix_matches_per_entry_distances(points, kind):
     else:
         assert c.values == reference
         assert all(type(v) is int for row in c.values for v in row)
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
+def test_cost_matrix_empty_sides_and_points(kind):
+    c = cost_matrix([(0,)], [], kind)
+    assert c.values == ((),) and (c.rows, c.cols) == (1, 0)
+    c = cost_matrix([], [(1, 2)], kind)
+    assert c.values == () and (c.rows, c.cols) == (0, 0)
+    assert cost_matrix([()], [(), ()], kind).values == ((0, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +327,24 @@ def test_certificate_rejects_corrupted_duals():
     assert not check_certificate(c, solve_bruteforce(c))  # carries no duals
 
 
+@pytest.mark.parametrize(
+    "duals, message",
+    [
+        # u_0 + v_1 = 2 > c_01 = 1: a negative reduced cost
+        ([1, 0], "dual infeasible in row 0"),
+        # feasible, but u + v sums to 0 against the matched total of 1
+        ([0, 0], "does not certify"),
+    ],
+)
+def test_solve_assignment_rejects_a_bad_dual(monkeypatch, duals, message):
+    c = integer_cost_matrix([[0, 1], [0, 1]])
+    monkeypatch.setattr(
+        transport, "_shortest_augmenting_paths", lambda costs: ([0, 1], duals, [0, 0])
+    )
+    with pytest.raises(RuntimeError, match=message):
+        solve_assignment(c)
+
+
 def test_euclid_certificate_on_the_grid():
     c = pair_measures(P42, P2211, "euclid")
     res = solve_assignment(c)
@@ -490,6 +527,28 @@ def test_wasserstein_is_zero_matches_support_equality():
             for sigma in all_permutations(3):
                 sym = symmetrize(p, sigma)
                 assert wasserstein_is_zero(p, sym) == (p == sym)
+
+
+def test_wasserstein_is_zero_runs_no_solve(monkeypatch):
+    pairs = [
+        (p, symmetrize(p, sigma))
+        for n in range(1, 6)
+        for p in enumerate_partitions(2, n)
+        for sigma in all_permutations(3)
+    ]
+    expected = {
+        kind: [wasserstein(a, b, kind) == 0 for a, b in pairs]
+        for kind in ("sq", "l1", "euclid")
+    }
+
+    def no_solve(c):
+        raise AssertionError("wasserstein_is_zero ran a solve")
+
+    monkeypatch.setattr(transport, "solve_assignment", no_solve)
+    zero = [wasserstein_is_zero(a, b) for a, b in pairs]
+    assert any(zero) and not all(zero)
+    for kind, values in expected.items():
+        assert zero == values, kind
 
 
 def test_wasserstein_permutation_equivariance():
