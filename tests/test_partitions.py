@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -293,6 +295,23 @@ def test_self_symmetric():
     for p in sample_partitions(1, 6):
         assert is_self_symmetric(p, Permutation.identity(2))
         assert is_self_symmetric(p, SWAP) == (symmetrize(p, SWAP) == p)
+
+
+def test_symmetrize_bytes_are_pinned():
+    """The image entries and the fixed-point verdict of every partition with
+    m <= 3, n <= 5 under every sigma hash to a fixed digest."""
+    lines = []
+    for m in (1, 2, 3):
+        sigmas = all_permutations(m + 1)
+        for n in range(1, 6):
+            for p in enumerate_partitions(m, n):
+                for sigma in sigmas:
+                    image = to_json(symmetrize(p, sigma))["entries"]
+                    pair = [image, is_self_symmetric(p, sigma)]
+                    lines.append(json.dumps(pair, separators=(",", ":")))
+    assert len(lines) == 2718
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "77c21a63c627ce8effa8824a1edacac80485cbb7e1a75daea24a3ce98dd53bb5"
 
 
 def test_apply_permutation_rotates_cells():

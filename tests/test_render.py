@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
 from partition_ot import (
     Permutation,
     RenderSpec,
     UnsupportedRenderError,
+    all_permutations,
+    enumerate_partitions,
     render,
     render_ascii,
     validate_array,
@@ -75,3 +79,19 @@ def test_unsupported_combinations():
             render(solid, RenderSpec(format=fmt))
     with pytest.raises(UnsupportedRenderError):
         render(P42, RenderSpec(format="png"))
+
+
+def test_render_bytes_are_pinned():
+    """Every supported (format, m), every partition up to n = 5, drawn plain
+    and under every sigma: the joined outputs hash to a fixed digest."""
+    out = []
+    for fmt, dims in (("ascii", (1,)), ("svg", (1, 2)), ("tikz", (1, 2))):
+        for m in dims:
+            sigmas = [None, *all_permutations(m + 1)]
+            for n in range(1, 6):
+                for p in enumerate_partitions(m, n):
+                    for sigma in sigmas:
+                        out.append(render(p, RenderSpec(format=fmt), sigma=sigma))
+    assert len(out) == 820
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "6337901c2d7c267f6ad2fc1ffad59acf3d69e880ee3096928b9391ad452485fe"
