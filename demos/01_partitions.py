@@ -11,7 +11,7 @@ from partition_ot import (
     count_partitions,
     enumerate_partitions,
     from_cells,
-    to_cells,
+    measure_of,
     validate_array,
 )
 
@@ -21,10 +21,12 @@ plane = validate_array([[2, 1], [1]], 2)
 print("flat:", flat, "n =", flat.n)
 print("plane:", plane, "n =", plane.n)
 
-# The diagram view: one cell per stacked unit.  Coordinate 0 is the
-# stacking axis, the remaining coordinates are the array indices.
-cells = to_cells(flat)
-print("cells of (4,2):", sorted(cells.cells))
+# The diagram view: one cell per stacked unit, as a sorted tuple.
+# Coordinate 0 is the stacking axis, the remaining coordinates are the
+# array indices.  from_cells checks cells from anywhere and rebuilds the
+# array.
+cells = measure_of(flat)
+print("cells of (4,2):", list(cells))
 print("round trip:", from_cells(cells))
 
 # Invalid arrays are rejected with a specific error.

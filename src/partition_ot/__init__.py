@@ -22,7 +22,6 @@ from .errors import (
 from .measures import SupportDecomposition, decompose, measure_of
 from .partitions import (
     MAX_DIMENSION,
-    CellSet,
     MultiPartition,
     Permutation,
     all_permutations,
@@ -35,7 +34,6 @@ from .partitions import (
     involutions,
     is_self_symmetric,
     symmetrize,
-    to_cells,
     to_json,
     validate_array,
 )

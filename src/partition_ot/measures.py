@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import _cells, apply_permutation, to_cells
+from .partitions import _cells, apply_permutation
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ def measure_of(p):
 
     Every cell carries mass 1/n, so the points alone describe the measure.
     Their sorted order fixes the row and column indexing used by cost
-    matrices and plans downstream.  The cells are not checked again: p was
-    validated where it was built.
+    matrices and plans downstream.  This is the one cell form of a
+    partition; `partitions.from_cells` inverts it.  The cells are not
+    checked: p was checked when it was built.
     """
     return tuple(sorted(_cells(p)))
 
@@ -42,12 +43,11 @@ def decompose(p, sigma):
     `target_only` the cells only the image has.  The two exclusive parts
     always have equal cardinality.
     """
-    src = to_cells(p)
-    dst = apply_permutation(src, sigma)
-    common = src.cells & dst.cells
+    cells = measure_of(p)
+    src = frozenset(cells)
+    dst = frozenset(apply_permutation(cells, sigma))
+    common = src & dst
     return SupportDecomposition(
-        common=frozenset(common),
-        source_only=frozenset(src.cells - common),
-        target_only=frozenset(dst.cells - common),
+        common=common, source_only=src - common, target_only=dst - common
     )
 

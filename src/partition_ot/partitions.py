@@ -1,22 +1,25 @@
 """m-dimensional integer partitions and their unit-cell diagrams.
 
-A partition lives in two interchangeable forms: a ragged nested array of
-positive parts, weakly decreasing along every index axis (`MultiPartition`),
-and the canonical set of lattice cells of its stacked-cube diagram
-(`CellSet`).  Cells are (m+1)-tuples of non-negative integers; coordinate 0
-counts the stacked units above an index position and coordinates 1..m are
-the 0-based array indices.  A set of cells is a diagram exactly when it is
-a down-set: closed under decreasing any coordinate.
+A partition is a ragged nested array of positive parts, weakly decreasing
+along every index axis (`MultiPartition`), checked when it is built.  Its
+stacked-cube diagram is a set of lattice cells, (m+1)-tuples of
+non-negative integers: coordinate 0 counts the stacked units above an index
+position and coordinates 1..m are the 0-based array indices.  A set of
+cells is a diagram exactly when it is a down-set: closed under decreasing
+any coordinate.  The one cell form is the sorted cell tuple that
+`measures.measure_of` returns; `from_cells` turns cells back into a
+partition.
 
-Coordinate permutations of the cells act on partitions through
-`symmetrize`; a partition fixed by a permutation is detected by
-`is_self_symmetric`.
+Coordinate permutations act on cells through `apply_permutation` and on
+partitions through `symmetrize`; a partition fixed by a permutation is
+detected by `is_self_symmetric`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -47,14 +50,42 @@ class MultiPartition:
 
     `entries` is a nested tuple of depth `m` with the parts at the leaves.
     Index tuples are 1-based; the index support is a down-set and the parts
-    weakly decrease along every axis.  The constructor checks none of this:
-    `validate_array`, `from_json` and `enumerate_partitions` build only
-    valid partitions, and `check_diagram` checks one built directly.
+    weakly decrease along every axis.  The constructor checks all of this,
+    and that n is the sum of the parts, to which n defaults.  It raises
+    ValueError for a bad m or n, and NonPositiveEntryError, NotDownSetError
+    or NotMonotoneError for bad entries.
     """
 
     m: int
     entries: tuple
-    n: int
+    n: int = None
+
+    def __post_init__(self):
+        parts = dict(_checked_leaves(self.m, self.entries))
+        for idx, part in parts.items():
+            for j in range(self.m):
+                if idx[j] > 1:
+                    below = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
+                    if below not in parts:
+                        raise NotDownSetError(
+                            f"index {idx} present but {below} missing"
+                        )
+                    if part > parts[below]:
+                        raise NotMonotoneError(
+                            f"part {part} at {idx} exceeds part {parts[below]} at {below}"
+                        )
+        total = sum(parts.values())
+        if self.n is None:
+            object.__setattr__(self, "n", total)
+        elif not _is_int(self.n) or self.n != total:
+            raise ValueError(f"n={self.n!r} is not the sum {total} of the parts")
+
+    @classmethod
+    def _unchecked(cls, m, entries, n):
+        """A partition the library built valid, made without the check."""
+        p = object.__new__(cls)
+        p.__dict__.update(m=m, entries=entries, n=n)
+        return p
 
     def items(self):
         """Yield ((i_1, ..., i_m), part) pairs in index order, 1-based."""
@@ -65,46 +96,23 @@ class MultiPartition:
 
 
 @dataclass(frozen=True)
-class CellSet:
-    """Finite down-set of lattice cells in dimension m + 1."""
-
-    m: int
-    cells: frozenset
-
-    def __post_init__(self):
-        _check_cells(self.m, self.cells)
-
-    @classmethod
-    def _trusted(cls, m, cells):
-        """A CellSet of cells known to form a down-set, built without the check."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "m", m)
-        object.__setattr__(c, "cells", cells)
-        return c
-
-    @property
-    def n(self):
-        return len(self.cells)
-
-    def sorted_cells(self):
-        return tuple(sorted(self.cells))
-
-
-@dataclass(frozen=True)
 class Permutation:
     """Element of the symmetric group on {1, ..., size}, one-line notation.
 
-    `images[k]` is the image of k + 1.  Acting on a cell moves the value at
-    coordinate k - 1 (axis k) to coordinate images[k - 1] - 1.
+    `images[k]` is the image of k + 1.  `apply_to_cell(cell)` permutes the
+    coordinates of a cell tuple: the value at coordinate k - 1 (axis k)
+    moves to coordinate images[k - 1] - 1.
     """
 
     images: tuple
+    apply_to_cell: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(
                 f"not a permutation of 1..{len(self.images)}: {self.images!r}"
             )
+        object.__setattr__(self, "apply_to_cell", _cell_action(self.images))
 
     @property
     def size(self):
@@ -143,18 +151,22 @@ class Permutation:
             inv[img - 1] = k
         return Permutation(tuple(inv))
 
-    def apply_to_cell(self, cell):
-        """Permute the coordinates of a cell tuple."""
-        out = [0] * self.size
-        for k0, value in enumerate(cell):
-            out[self.images[k0] - 1] = value
-        return tuple(out)
-
     def is_identity(self):
         return all(img == k for k, img in enumerate(self.images, start=1))
 
     def is_involution(self):
         return self.compose(self).is_identity()
+
+
+def _cell_action(images):
+    """The cell map of the permutation with one-line `images`.
+
+    An itemgetter that reads coordinate j of the image from the coordinate
+    sent to j.  `itemgetter(0)` returns a scalar, so size 1, the identity,
+    maps a cell to itself.
+    """
+    sources = sorted(range(len(images)), key=images.__getitem__)
+    return operator.itemgetter(*sources) if len(sources) > 1 else tuple
 
 
 def all_permutations(size):
@@ -172,35 +184,13 @@ def involutions(size):
 
 
 def validate_array(raw, m):
-    """Check a ragged nested sequence of depth m and wrap it as a partition.
+    """Wrap a ragged nested sequence of depth m as a partition.
 
-    Raises NonPositiveEntryError, NotDownSetError, or NotMonotoneError when
+    The sequences become tuples and `MultiPartition` checks the result: it
+    raises NonPositiveEntryError, NotDownSetError, or NotMonotoneError when
     the array is not a valid m-dimensional partition.
     """
-    if m < 1:
-        raise ValueError(f"dimension m must be >= 1, got {m}")
-    if not _has_length(raw) or len(raw) == 0:
-        raise NonPositiveEntryError("a partition needs at least one positive part")
-    entries = _freeze(raw, m, ())
-    parts = dict(_leaves(entries, m, 1))
-    support = set(parts)
-    for idx in support:
-        for j in range(m):
-            if idx[j] > 1:
-                below = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-                if below not in support:
-                    raise NotDownSetError(
-                        f"index {idx} present but {below} missing"
-                    )
-    for idx, part in parts.items():
-        for j in range(m):
-            if idx[j] > 1:
-                below = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-                if part > parts[below]:
-                    raise NotMonotoneError(
-                        f"part {part} at {idx} exceeds part {parts[below]} at {below}"
-                    )
-    return MultiPartition(m=m, entries=entries, n=sum(parts.values()))
+    return MultiPartition(m, _freeze(raw, m))
 
 
 def to_json(p):
@@ -212,30 +202,57 @@ def from_json(doc):
     """Inverse of `to_json`; m must be a JSON integer."""
     if not isinstance(doc, dict):
         raise ValueError(f"partition JSON must be an object, got {type(doc).__name__}")
-    m = doc["m"]
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValueError(f"dimension m must be an integer, got {m!r}")
-    return validate_array(doc["entries"], m)
+    return validate_array(doc["entries"], doc["m"])
 
 
 def _has_length(obj):
     return hasattr(obj, "__len__") and not isinstance(obj, (str, bytes))
 
 
-def _freeze(node, depth, where):
-    if depth == 0:
-        if isinstance(node, bool) or not isinstance(node, int):
-            raise NonPositiveEntryError(f"part at {where} is not an integer: {node!r}")
-        if node < 1:
-            raise NonPositiveEntryError(f"part at {where} must be >= 1, got {node}")
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _freeze(node, depth):
+    """`node` with its sequences down to `depth` levels turned into tuples.
+
+    A depth that is no integer freezes nothing: the constructor rejects it.
+    """
+    if not _is_int(depth) or depth < 1 or not _has_length(node):
         return node
-    if not _has_length(node):
-        raise NonPositiveEntryError(f"expected a sequence at {where}, got {node!r}")
-    if len(node) == 0:
-        raise NotDownSetError(f"empty sub-array at index {where}")
-    return tuple(
-        _freeze(child, depth - 1, where + (i,)) for i, child in enumerate(node, 1)
-    )
+    return tuple(_freeze(child, depth - 1) for child in node)
+
+
+def _checked_leaves(m, entries):
+    """`_leaves(entries, m, 1)`, raising where the shape or a part is bad.
+
+    m must be an integer >= 1, every node above the parts a non-empty
+    tuple, and every part an integer >= 1.
+    """
+    if not _is_int(m):
+        raise ValueError(f"dimension m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError(f"dimension m must be >= 1, got {m}")
+    if not isinstance(entries, tuple) or not entries:
+        raise NonPositiveEntryError("a partition needs at least one positive part")
+    level = [((), entries)]
+    for _ in range(m):
+        below = []
+        for where, node in level:
+            if not isinstance(node, tuple):
+                raise NonPositiveEntryError(
+                    f"expected a sequence at {where}, got {node!r}"
+                )
+            if not node:
+                raise NotDownSetError(f"empty sub-array at index {where}")
+            below.extend((where + (i,), child) for i, child in enumerate(node, 1))
+        level = below
+    for where, part in level:
+        if not _is_int(part):
+            raise NonPositiveEntryError(f"part at {where} is not an integer: {part!r}")
+        if part < 1:
+            raise NonPositiveEntryError(f"part at {where} must be >= 1, got {part}")
+    return level
 
 
 def _leaves(entries, depth, start):
@@ -265,41 +282,32 @@ def _listify(node):
 # cell form
 
 
-def to_cells(p):
-    """Diagram cells of a partition: one (m+1)-tuple per stacked unit."""
-    return CellSet(m=p.m, cells=frozenset(_cells(p)))
-
-
-def check_diagram(p):
-    """Raise NotDownSetError unless the cells of p's diagram form a down-set."""
-    _check_cells(p.m, frozenset(_cells(p)))
-
-
 def _cells(p):
-    """The cells of p's diagram as a plain list, unchecked."""
+    """The cells of p's diagram as a plain list: one (m+1)-tuple per unit."""
     cells = []
     for base, part in _leaves(p.entries, p.m, 0):
         cells.extend((a,) + base for a in range(part))
     return cells
 
 
-def from_cells(c):
-    """Rebuild the ragged array view of a cell set.
+def from_cells(cells):
+    """The partition whose diagram is `cells`, an iterable of cell tuples.
 
-    Inverse of `to_cells`: both round trips are identities.
+    m is one less than the length of a cell.  The cells are checked to form
+    a down-set: this is where cells from outside enter.  Inverse of
+    `measures.measure_of`: both round trips are identities.
     """
-    heights = {}
-    for cell in c.cells:
-        base = cell[1:]
-        heights[base] = heights.get(base, 0) + 1
-    entries = _nest(heights, (), c.m)
-    return MultiPartition(m=c.m, entries=entries, n=c.n)
+    cells = frozenset(cells)
+    _check_cells(cells)
+    return _from_diagram(cells)
 
 
-def _check_cells(m, cells):
+def _check_cells(cells):
     if not cells:
         raise NotDownSetError("a diagram needs at least one cell")
-    dim = m + 1
+    dim = len(next(iter(cells)))
+    if dim < 2:
+        raise NotDownSetError(f"cells need at least 2 coordinates, got {dim}")
     for cell in cells:
         if len(cell) != dim or any(not isinstance(x, int) or x < 0 for x in cell):
             raise NotDownSetError(
@@ -310,6 +318,16 @@ def _check_cells(m, cells):
                 below = cell[:k] + (cell[k] - 1,) + cell[k + 1 :]
                 if below not in cells:
                     raise NotDownSetError(f"cell {cell} present but {below} missing")
+
+
+def _from_diagram(cells):
+    """The partition whose diagram is `cells`, a down-set, made unchecked."""
+    heights = {}
+    for cell in cells:
+        base = cell[1:]
+        heights[base] = heights.get(base, 0) + 1
+    m = len(next(iter(cells))) - 1
+    return MultiPartition._unchecked(m, _nest(heights, (), m), len(cells))
 
 
 def _nest(heights, prefix, remaining):
@@ -334,17 +352,19 @@ def _nest(heights, prefix, remaining):
 # symmetrization
 
 
-def apply_permutation(c, sigma):
-    """Image of a cell set under a coordinate permutation.
+def apply_permutation(cells, sigma):
+    """The sorted image of a diagram's cells under a coordinate permutation.
 
-    `c` was checked when it was built, and permuting coordinates maps a
-    down-set to a down-set, so the image is not checked again.
+    `cells` is a non-empty sequence of the cells, such as `measure_of(p)`.
+    Permuting coordinates maps a down-set to a down-set, so the image is
+    not checked.
     """
-    if sigma.size != c.m + 1:
+    dim = len(cells[0])
+    if sigma.size != dim:
         raise SizeMismatchError(
-            f"permutation of size {sigma.size} cannot act on {c.m + 1} coordinates"
+            f"permutation of size {sigma.size} cannot act on {dim} coordinates"
         )
-    return CellSet._trusted(c.m, frozenset(map(sigma.apply_to_cell, c.cells)))
+    return tuple(sorted(map(sigma.apply_to_cell, cells)))
 
 
 def symmetrize(p, sigma):
@@ -353,13 +373,13 @@ def symmetrize(p, sigma):
     Coordinate permutations preserve down-sets, so the result is a valid
     partition of the same n.
     """
-    return from_cells(apply_permutation(to_cells(p), sigma))
+    return _from_diagram(apply_permutation(_cells(p), sigma))
 
 
 def is_self_symmetric(p, sigma):
     """True when the diagram of p is setwise fixed by the permutation."""
-    cells = to_cells(p)
-    return apply_permutation(cells, sigma).cells == cells.cells
+    cells = _cells(p)
+    return apply_permutation(cells, sigma) == tuple(sorted(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +394,7 @@ def enumerate_partitions(m, n, max_cells=None):
     raises it; enumeration cost grows exponentially with n.
     """
     _check_guard(m, n, max_cells)
-    parts = [MultiPartition(m=m, entries=e, n=n) for e in _entry_trees(m, n)]
+    parts = [MultiPartition._unchecked(m, e, n) for e in _entry_trees(m, n)]
     parts.sort(key=lambda p: sorted(_cells(p)))
     return parts
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .measures import decompose
-from .partitions import to_cells
+from .measures import decompose, measure_of
 
 ASCII = "ascii"
 SVG = "svg"
@@ -24,6 +23,9 @@ COLOR_PLAIN = "#e8e8e8"
 COLOR_COMMON = "#9467bd"
 COLOR_MOVED = "#ff7f0e"
 
+# Angle of the two ground axes to the horizontal in the m = 2 cube views.
+ISO_ANGLE_DEG = 30.0
+
 
 class UnsupportedRenderError(ValueError):
     """Requested (format, dimension) combination is not renderable."""
@@ -31,11 +33,10 @@ class UnsupportedRenderError(ValueError):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Output format plus size and projection parameters for cube views."""
+    """Output format plus the side of one cell in output units."""
 
     format: str = ASCII
     cell_size: float = 24.0
-    iso_angle_deg: float = 30.0
 
 
 def render(p, spec, sigma=None):
@@ -54,7 +55,7 @@ def render(p, spec, sigma=None):
         if p.m == 1:
             return _tikz_squares(p, sigma)
         if p.m == 2:
-            return _tikz_cubes(p, spec, sigma)
+            return _tikz_cubes(p, sigma)
         raise UnsupportedRenderError(f"tikz rendering supports m in {{1, 2}}, got m={p.m}")
     raise UnsupportedRenderError(f"unknown format {spec.format!r}")
 
@@ -65,26 +66,28 @@ def render_ascii(p, sigma=None):
     With a permutation, moved cells print as 'x' and each gets an arrow
     line to its sigma-image, the candidate map (not always optimal).
     """
-    if sigma is None:
-        return "\n".join("#" * part for part in p.entries) + "\n"
-    dec = decompose(p, sigma)
-    rows = []
-    for i1, part in enumerate(p.entries, start=1):
-        rows.append(
-            "".join("#" if (a, i1 - 1) in dec.common else "x" for a in range(part))
-        )
-    for cell in sorted(dec.source_only):
-        rows.append(f"{cell} -> {sigma.apply_to_cell(cell)}")
+    colors, arrows = _highlight(p, sigma)
+    rows = [
+        "".join("x" if colors[a, i] == COLOR_MOVED else "#" for a in range(part))
+        for i, part in enumerate(p.entries)
+    ]
+    rows.extend(f"{cell} -> {image}" for cell, image in arrows)
     return "\n".join(rows) + "\n"
 
 
-def _cell_colors(p, sigma):
-    """Map each cell of p to its highlight color."""
-    cells = to_cells(p).cells
+def _highlight(p, sigma):
+    """Highlight color of each cell of p, and the candidate map's arrows.
+
+    The arrows are (cell, sigma-image) pairs for the moved cells, in cell
+    order.  Without a permutation every cell is plain and nothing moves.
+    """
     if sigma is None:
-        return {c: COLOR_PLAIN for c in cells}
+        return dict.fromkeys(measure_of(p), COLOR_PLAIN), []
     dec = decompose(p, sigma)
-    return {c: (COLOR_COMMON if c in dec.common else COLOR_MOVED) for c in cells}
+    colors = dict.fromkeys(dec.common, COLOR_COMMON)
+    colors.update(dict.fromkeys(dec.source_only, COLOR_MOVED))
+    moved = sorted(dec.source_only)
+    return colors, [(cell, sigma.apply_to_cell(cell)) for cell in moved]
 
 
 def _fmt(x):
@@ -99,16 +102,9 @@ def _fmt(x):
 def _square_geometry(p, spec, sigma):
     """Screen rectangles for each cell plus arrow segments, y pointing down."""
     s = spec.cell_size
-    colors = _cell_colors(p, sigma)
+    colors, arrows = _highlight(p, sigma)
     cells = sorted(colors)
-    arrows = []
-    extent = set(cells)
-    if sigma is not None:
-        dec = decompose(p, sigma)
-        for cell in sorted(dec.source_only):
-            image = sigma.apply_to_cell(cell)
-            arrows.append((cell, image))
-            extent.add(image)
+    extent = set(cells).union(image for _, image in arrows)
     top = max(c[1] for c in extent) + 1
     boxes = [
         (cell, colors[cell], cell[0] * s, (top - 1 - cell[1]) * s) for cell in cells
@@ -153,7 +149,7 @@ def _svg_squares(p, spec, sigma):
 
 
 def _tikz_squares(p, sigma):
-    colors = _cell_colors(p, sigma)
+    colors, arrows = _highlight(p, sigma)
     out = [_tikz_color_defs()]
     for cell in sorted(colors):
         a0, a1 = cell
@@ -161,14 +157,11 @@ def _tikz_squares(p, sigma):
             f"\\filldraw[fill={_tikz_color_name(colors[cell])}, draw=black] "
             f"({a0},{a1}) rectangle ({a0 + 1},{a1 + 1});"
         )
-    if sigma is not None:
-        dec = decompose(p, sigma)
-        for cell in sorted(dec.source_only):
-            image = sigma.apply_to_cell(cell)
-            out.append(
-                f"\\draw[->, dashed] ({_fmt(cell[0] + 0.5)},{_fmt(cell[1] + 0.5)}) -- "
-                f"({_fmt(image[0] + 0.5)},{_fmt(image[1] + 0.5)});"
-            )
+    for cell, image in arrows:
+        out.append(
+            f"\\draw[->, dashed] ({_fmt(cell[0] + 0.5)},{_fmt(cell[1] + 0.5)}) -- "
+            f"({_fmt(image[0] + 0.5)},{_fmt(image[1] + 0.5)});"
+        )
     return "\n".join(out) + "\n"
 
 
@@ -182,8 +175,8 @@ def _tikz_squares(p, sigma):
 
 def _project(spec, h, u, v):
     s = spec.cell_size
-    kx = s * math.cos(math.radians(spec.iso_angle_deg))
-    ky = s * math.sin(math.radians(spec.iso_angle_deg))
+    kx = s * math.cos(math.radians(ISO_ANGLE_DEG))
+    ky = s * math.sin(math.radians(ISO_ANGLE_DEG))
     return (u - v) * kx, (u + v) * ky - h * s
 
 
@@ -206,7 +199,7 @@ def _shade(color, factor):
 
 def _painted_cubes(p, spec, sigma):
     """(cell, [(polygon, fill), ...]) in paint order."""
-    colors = _cell_colors(p, sigma)
+    colors, _ = _highlight(p, sigma)
     order = sorted(colors, key=lambda c: (-sum(c), c))
     out = []
     for cell in order:
@@ -244,9 +237,8 @@ def _svg_cubes(p, spec, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_cubes(p, spec, sigma):
-    unit = RenderSpec(format=TIKZ, cell_size=1.0, iso_angle_deg=spec.iso_angle_deg)
-    cubes = _painted_cubes(p, unit, sigma)
+def _tikz_cubes(p, sigma):
+    cubes = _painted_cubes(p, RenderSpec(format=TIKZ, cell_size=1.0), sigma)
     out = [_tikz_color_defs()]
     shade_name = {}
     for _, faces in cubes:

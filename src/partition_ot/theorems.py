@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
 from .measures import measure_of
-from .partitions import check_diagram, enumerate_partitions, to_json
+from .partitions import _cell_action, apply_permutation, enumerate_partitions, to_json
 from .transport import (
     EUCLIDEAN,
     L1,
@@ -97,7 +96,6 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
     """
-    check_diagram(p)
     return _hybrid(measure_of(p), sigma, kind)
 
 
@@ -227,12 +225,13 @@ def _orbit_keys(m, sigmas):
             )
     movers = []
     conjugates = []
-    for tau in itertools.permutations(range(m + 1)):
-        # tau sends axis k to axis tau[k]; `inv[j]` is the axis that lands on j
-        inv = tuple(sorted(range(m + 1), key=tau.__getitem__))
-        movers.append(operator.itemgetter(*inv))
+    for tau in itertools.permutations(range(1, m + 2)):
+        # one-line images: tau sends axis k to axis tau[k - 1]; `inv[j]` is
+        # the axis, counted from 0, that lands on axis j + 1
+        inv = sorted(range(m + 1), key=tau.__getitem__)
+        movers.append(_cell_action(tau))
         conjugates.append(
-            tuple(tuple(inv[s.images[k] - 1] + 1 for k in tau) for s in sigmas)
+            tuple(tuple(inv[s.images[k - 1] - 1] + 1 for k in tau) for s in sigmas)
         )
     known = {}  # measure of every partition met so far -> its keys
 
@@ -273,7 +272,7 @@ def _main_counts(weighted):
 
 
 def _cor_record(src, sigma, kind):
-    dst = _image(src, sigma)
+    dst = apply_permutation(src, sigma)
     total = optimal_total(src, dst, kind)
     if kind == EUCLIDEAN:
         w_json = total / len(src)
@@ -303,7 +302,7 @@ def _hybrid(src, sigma, kind):
     """
     if kind == EUCLIDEAN:
         raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
-    dst = _image(src, sigma)
+    dst = apply_permutation(src, sigma)
     n = len(src)
     optimal = Fraction(optimal_total(src, dst, kind), n)
     if dst == src:  # nothing moves: the candidate is the identity, at cost 0
@@ -325,15 +324,6 @@ def _hybrid(src, sigma, kind):
         return HybridPlanResult(False, None, optimal, False, None)
     cost = Fraction(moved_cost, n)
     return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
-
-
-def _image(src, sigma):
-    """The measure of p's sigma-permuted diagram, from the measure `src` of p."""
-    if sigma.size != len(src[0]):
-        raise SizeMismatchError(
-            f"permutation of size {sigma.size} cannot act on {len(src[0])} coordinates"
-        )
-    return tuple(sorted(map(sigma.apply_to_cell, src)))
 
 
 def format_summary(report):

@@ -2,8 +2,8 @@
 
 Everything on the "sq" (squared Euclidean) and "l1" cost kinds runs in
 exact integer and rational arithmetic end to end.  The "euclid" kind has
-irrational costs; it is solved on a fixed-precision integer grid and its
-results are flagged non-exact.
+irrational costs; it is solved on a fixed-precision integer grid, its
+totals are floats, and its cost matrices report `is_exact` false.
 
 Uniform equal-size marginals make the transport problem an assignment
 problem: the extreme points of the doubly stochastic polytope are the
@@ -31,7 +31,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
-from .partitions import check_diagram
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -158,7 +157,6 @@ class AssignmentResult(NamedTuple):
 
     matching: tuple
     total: object  # int for exact kinds, float otherwise
-    exact: bool
     duals: tuple = None
 
 
@@ -167,8 +165,8 @@ def solve_assignment(c):
 
     Among equal-cost optima the lexicographically smallest matching (by
     row, then column) is returned.  Integer kinds are solved exactly; the
-    "euclid" kind goes through the fixed-precision grid and comes back
-    flagged non-exact.
+    "euclid" kind goes through the fixed-precision grid and its total is a
+    float (`c.is_exact` is false).
 
     The solver runs on the raw costs and keeps its LP dual (u, v).  By
     complementary slackness every optimal matching uses only tight edges,
@@ -210,7 +208,7 @@ def solve_assignment(c):
         total = grid_total
     else:
         total = math.fsum(c.values[i][matching[i]] for i in range(n))
-    return AssignmentResult(matching, total, c.is_exact, (tuple(u), tuple(v)))
+    return AssignmentResult(matching, total, (tuple(u), tuple(v)))
 
 
 def check_certificate(c, res):
@@ -259,7 +257,7 @@ def solve_bruteforce(c):
         tot = sum(c.values[i][perm[i]] for i in range(n))
         if best is None or tot < best:
             best, best_perm = tot, perm
-    return AssignmentResult(tuple(best_perm), best, c.is_exact)
+    return AssignmentResult(tuple(best_perm), best)
 
 
 def _check_assignment_size(n):
@@ -461,8 +459,6 @@ def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
 
 
 def _check_transport_inputs(a, b):
-    check_diagram(a)
-    check_diagram(b)
     if a.m != b.m or a.n != b.n:
         raise ShapeMismatchError(
             f"cannot transport between (m={a.m}, n={a.n}) and (m={b.m}, n={b.n})"

@@ -318,7 +318,7 @@ def test_wasserstein_certify_failure_exits_3(capsys, p42, p2211, monkeypatch):
     from partition_ot.transport import AssignmentResult
 
     monkeypatch.setattr(
-        cli, "solve_bruteforce", lambda c: AssignmentResult((0,), 10**9, True)
+        cli, "solve_bruteforce", lambda c: AssignmentResult((0,), 10**9)
     )
     assert cli.main(["wasserstein", p42, p2211, "--certify"]) == 3
 

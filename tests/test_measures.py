@@ -8,7 +8,6 @@ from partition_ot import (
     enumerate_partitions,
     measure_of,
     symmetrize,
-    to_cells,
     validate_array,
 )
 
@@ -96,5 +95,5 @@ def test_decompose_splits_both_supports(instance):
     assert not (dec.common & dec.source_only)
     assert not (dec.common & dec.target_only)
     assert len(dec.source_only) == len(dec.target_only)
-    assert dec.common | dec.source_only == to_cells(p).cells
-    assert dec.common | dec.target_only == to_cells(symmetrize(p, sigma)).cells
+    assert dec.common | dec.source_only == set(measure_of(p))
+    assert dec.common | dec.target_only == set(measure_of(symmetrize(p, sigma)))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from partition_ot import (
     MAX_DIMENSION,
-    CellSet,
     InstanceTooLargeError,
     MultiPartition,
     NonPositiveEntryError,
@@ -27,7 +26,6 @@ from partition_ot import (
     is_self_symmetric,
     measure_of,
     symmetrize,
-    to_cells,
     to_json,
     validate_array,
 )
@@ -98,64 +96,92 @@ def test_items_are_one_based():
 # cell form
 
 
-def test_to_cells_flat():
-    assert to_cells(validate_array([4, 2], 1)).cells == frozenset(
-        {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)}
-    )
-    assert to_cells(validate_array([1], 1)).cells == frozenset({(0, 0)})
-
-
-def test_to_cells_nested():
-    cells = to_cells(validate_array([[2, 1], [1]], 2))
-    assert cells.cells == frozenset({(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0)})
-    assert cells.n == 4
-
-
 def test_from_cells():
-    c = CellSet(
-        m=1, cells=frozenset({(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)})
-    )
-    assert from_cells(c).entries == (4, 2)
-    assert from_cells(CellSet(m=1, cells=frozenset({(0, 0)}))).entries == (1,)
-
-
-def test_cellset_rejects_holes():
-    with pytest.raises(NotDownSetError):
-        CellSet(m=1, cells=frozenset({(0, 0), (2, 0)}))
-    with pytest.raises(NotDownSetError):
-        CellSet(m=1, cells=frozenset({(1, 1)}))
+    cells = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]
+    assert from_cells(cells).entries == (4, 2)
+    assert from_cells(reversed(cells)) == validate_array([4, 2], 1)
+    assert from_cells({(0, 0)}).entries == (1,)
+    assert from_cells(measure_of(validate_array([[2, 1], [1]], 2))).m == 2
 
 
 def test_from_cells_input_is_checked():
     with pytest.raises(NotDownSetError, match=r"cell \(0, 1, 1\) present"):
-        from_cells(CellSet(m=2, cells=frozenset({(0, 0, 0), (0, 1, 1)})))
+        from_cells([(0, 0, 0), (0, 1, 1)])
+    with pytest.raises(NotDownSetError):
+        from_cells([(0, 0), (2, 0)])
+    with pytest.raises(NotDownSetError):
+        from_cells([(1, 1)])
+    with pytest.raises(NotDownSetError, match="-tuple of non-negative integers"):
+        from_cells([(0, 0), (0, 0, 0)])
+    with pytest.raises(NotDownSetError, match="at least 2 coordinates"):
+        from_cells([(0,)])
+    with pytest.raises(NotDownSetError, match="at least one cell"):
+        from_cells([])
 
 
 def test_cells_are_checked_only_where_they_enter(monkeypatch):
-    from partition_ot import partitions
+    """Construction and `from_cells` check; the library's own builders and
+    the cell maps run no validator."""
+    from partition_ot import measures
 
-    checked = []
-    monkeypatch.setattr(
-        partitions, "_check_cells", lambda m, cells: checked.append(cells)
-    )
+    calls = []
+    real_leaves, real_cells = partitions._checked_leaves, partitions._check_cells
+
+    def leaves(*args):
+        calls.append("entries")
+        return real_leaves(*args)
+
+    def cells(*args):
+        calls.append("cells")
+        return real_cells(*args)
+
+    monkeypatch.setattr(partitions, "_checked_leaves", leaves)
+    monkeypatch.setattr(partitions, "_check_cells", cells)
     p = validate_array([[2, 1], [1]], 2)
-    c = to_cells(p)
-    assert checked == [c.cells]
-    for sigma in all_permutations(3):
-        image = apply_permutation(c, sigma)
-        assert image.m == 2
-        assert image.cells == {sigma.apply_to_cell(x) for x in c.cells}
-    assert measure_of(p) == tuple(sorted(c.cells))
-    assert checked == [c.cells]
+    assert calls == ["entries"]
+    assert MultiPartition(2, p.entries, 4) == p
+    assert calls == ["entries"] * 2
+    assert from_cells(measure_of(p)) == p
+    assert calls == ["entries"] * 2 + ["cells"]
+    calls.clear()
+    parts = enumerate_partitions(2, 5)
+    for q in parts:
+        src = measures.measure_of(q)
+        for sigma in all_permutations(3):
+            image = apply_permutation(src, sigma)
+            assert image == tuple(sorted(map(sigma.apply_to_cell, src)))
+            assert symmetrize(q, sigma).n == q.n
+            is_self_symmetric(q, sigma)
+    assert calls == []
 
 
 def test_round_trips():
     for m, n_max in ((1, 7), (2, 5), (3, 4)):
         for p in sample_partitions(m, n_max):
-            assert from_cells(to_cells(p)) == p
+            assert from_cells(measure_of(p)) == p
     for cells in oracle_cell_sets(2, 5):
-        c = CellSet(m=2, cells=frozenset(cells))
-        assert to_cells(from_cells(c)).cells == c.cells
+        assert measure_of(from_cells(cells)) == tuple(sorted(cells))
+
+
+def test_directly_built_partitions_are_checked_at_construction():
+    with pytest.raises(ValueError, match="n=5 is not the sum 6"):
+        MultiPartition(1, (4, 2), 5)
+    with pytest.raises(NonPositiveEntryError, match="expected a sequence at \\(1,\\)"):
+        MultiPartition(2, (4, 2), 6)
+    with pytest.raises(NonPositiveEntryError, match="not an integer: 2.0"):
+        MultiPartition(1, (2.0, 1), 3)
+    with pytest.raises(NotMonotoneError):  # (1, 2): cell (1, 1) lies above a hole
+        MultiPartition(1, (1, 2), 3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        MultiPartition(True, (1,), 1)
+    with pytest.raises(ValueError, match="is not the sum"):
+        MultiPartition(1, (1,), True)
+
+
+def test_n_defaults_to_the_sum_of_the_parts():
+    p = MultiPartition(2, ((2, 1), (1,)))
+    assert p.n == 4 and p == MultiPartition(2, ((2, 1), (1,)), 4)
+    assert p == validate_array([[2, 1], [1]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +216,7 @@ def test_single_cell_for_any_dimension():
 
 def test_enumerate_cell_sets_match_oracle():
     for m, n in ((1, 6), (2, 5)):
-        ours = [to_cells(p).sorted_cells() for p in enumerate_partitions(m, n)]
+        ours = [measure_of(p) for p in enumerate_partitions(m, n)]
         assert ours == oracle_cell_sets(m, n)
 
 
@@ -245,6 +271,15 @@ def test_permutation_group_laws():
             assert t.apply_to_cell(s.apply_to_cell(cell)) == t.compose(s).apply_to_cell(cell)
 
 
+def test_cell_action_of_every_size():
+    # itemgetter(0) returns a scalar, so size 1 needs its own cell map
+    assert Permutation.identity(1).apply_to_cell((5,)) == (5,)
+    assert SWAP.apply_to_cell((5, 7)) == (7, 5)
+    sigma = Permutation.from_one_line("3 1 4 2")
+    assert sigma.apply_to_cell((10, 20, 30, 40)) == (20, 40, 10, 30)
+    assert sigma.inverse().apply_to_cell((20, 40, 10, 30)) == (10, 20, 30, 40)
+
+
 def test_involutions_of_s3():
     assert [s.one_line() for s in involutions(3)] == ["1 2 3", "1 3 2", "2 1 3", "3 2 1"]
 
@@ -267,7 +302,7 @@ def test_symmetrize_plane_example():
     p = validate_array([[3, 2], [1]], 2)
     sigma = Permutation.from_one_line("1 3 2")
     assert symmetrize(p, sigma).entries == ((3, 1), (2,))
-    moved = to_cells(p).cells - to_cells(symmetrize(p, sigma)).cells
+    moved = set(measure_of(p)) - set(measure_of(symmetrize(p, sigma)))
     assert moved == {(1, 0, 1)}
 
 
@@ -315,11 +350,12 @@ def test_symmetrize_bytes_are_pinned():
 
 
 def test_apply_permutation_rotates_cells():
-    c = to_cells(validate_array([[2, 1]], 2))
+    c = measure_of(validate_array([[2, 1]], 2))
     rot = Permutation.from_one_line("2 3 1")
-    assert apply_permutation(c, rot).cells == {
-        rot.apply_to_cell(x) for x in c.cells
-    }
+    assert apply_permutation(c, rot) == ((0, 0, 0), (0, 1, 0), (1, 0, 0))
+    assert apply_permutation(c, rot) == tuple(sorted(map(rot.apply_to_cell, c)))
+    with pytest.raises(SizeMismatchError, match="size 2 cannot act on 3"):
+        apply_permutation(c, SWAP)
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +392,17 @@ def test_walks_follow_the_recursive_reference(case):
     m, raw = case
     entries = frozen(raw)
     expected = list(walk_reference.walk(entries, (), m))
-    p = MultiPartition(m=m, entries=entries, n=sum(part for _, part in expected))
+    # unchecked, so the walks also run on arrays that are no partition
+    p = MultiPartition._unchecked(m, entries, sum(part for _, part in expected))
     assert list(p.items()) == expected
     assert partitions._cells(p) == walk_reference.cells(entries, m)
-    real, walks = partitions._leaves, []
+    real, walks = partitions._checked_leaves, []
 
     def recording(*args):
         walks.append(real(*args))
         return walks[-1]
 
-    with mock.patch.object(partitions, "_leaves", recording):
+    with mock.patch.object(partitions, "_checked_leaves", recording):
         try:
             assert validate_array(raw, m).n == p.n
         except (NotDownSetError, NotMonotoneError):

@@ -145,7 +145,7 @@ def test_cost_matrix_empty_sides_and_points(kind):
 
 def test_trivial_assignment():
     res = solve_assignment(integer_cost_matrix([[0]]))
-    assert res == ((0,), 0, True, ((0,), (0,)))
+    assert res == ((0,), 0, ((0,), (0,)))
 
 
 @pytest.mark.parametrize(
@@ -231,7 +231,7 @@ def test_bruteforce_guard():
 def test_euclid_solver_is_flagged_and_close():
     c = pair_measures(P42, P2211, "euclid")
     res = solve_assignment(c)
-    assert not res.exact
+    assert not c.is_exact and isinstance(res.total, float)
     src = measure_of(P42)
     dst = measure_of(P2211)
     oracle = bruteforce_matching_total(
@@ -266,7 +266,7 @@ def test_negative_costs():
         c = integer_cost_matrix(values)
         with time_limit(10):
             res = solve_assignment(c)
-        assert res[:3] == solve_bruteforce(c)[:3]
+        assert res[:2] == solve_bruteforce(c)[:2]
         assert check_certificate(c, res)
 
 
@@ -282,7 +282,7 @@ def test_negative_costs():
 def test_tie_heavy_matrices_match_bruteforce_lex_order(values):
     c = integer_cost_matrix(values)
     res = solve_assignment(c)
-    assert res[:3] == solve_bruteforce(c)[:3]
+    assert res[:2] == solve_bruteforce(c)[:2]
     assert check_certificate(c, res)
 
 
@@ -480,19 +480,6 @@ def test_optimal_total_checks_kind_and_size(monkeypatch):
     monkeypatch.setattr(transport, "ASSIGNMENT_MAX_N", 5)
     with pytest.raises(InstanceTooLargeError, match="n=6 exceeds the assignment guard 5"):
         optimal_total(src, src, "sq")
-
-
-def test_directly_built_partitions_are_checked_at_the_entry_points():
-    # MultiPartition(...) checks nothing; (1, 2) has a cell above a hole
-    bad, good = MultiPartition(1, (1, 2), 3), validate_array([2, 1], 1)
-    with pytest.raises(NotDownSetError):
-        wasserstein(bad, good)
-    with pytest.raises(NotDownSetError):
-        wasserstein(good, bad, "l1")
-    with pytest.raises(NotDownSetError):
-        solve_transport(good, bad)
-    with pytest.raises(NotDownSetError):
-        hybrid_plan(bad, Permutation.from_one_line("2 1"))
 
 
 @pytest.mark.parametrize("kind", ["l1", "sq"])
