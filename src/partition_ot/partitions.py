@@ -155,7 +155,7 @@ class Permutation:
         return all(img == k for k, img in enumerate(self.images, start=1))
 
     def is_involution(self):
-        return self.compose(self).is_identity()
+        return all(self.images[img - 1] == k for k, img in enumerate(self.images, 1))
 
 
 def _cell_action(images):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
 from .measures import measure_of
-from .partitions import _cell_action, apply_permutation, enumerate_partitions, to_json
+from .partitions import _cell_action, apply_permutation, enumerate_partitions
 from .transport import (
     EUCLIDEAN,
     L1,
@@ -156,7 +156,7 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
             orbit_keys = _orbit_keys(m, sigmas)
         for p in partitions:
             src = measure_of(p)
-            entries = _dumps(to_json(p)["entries"])
+            entries = _dumps(p.entries)  # json writes tuples as arrays
             for i, key in enumerate(orbit_keys(src)):
                 orbit = orbits.get(key)
                 if orbit is None:

@@ -11,6 +11,8 @@ permutation matrices, so the optimal plan value equals the minimum-cost
 perfect matching value.  The solver works on the raw integer costs and
 returns the LP dual of that assignment problem with its matching; the
 dual certifies optimality in O(n^2) and fixes the lex-smallest optimum.
+Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
+`wasserstein`) then skip the lex step, as every optimum has their total.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, sub
+from operator import add, getitem, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -168,16 +170,39 @@ def solve_assignment(c):
     "euclid" kind goes through the fixed-precision grid and its total is a
     float (`c.is_exact` is false).
 
-    The solver runs on the raw costs and keeps its LP dual (u, v).  By
+    The lex step runs on top of `_certified_solve` and its dual (u, v).  By
     complementary slackness every optimal matching uses only tight edges,
     where c_ij - u_i - v_j = 0, so the lex-smallest optimum is the
-    lex-smallest perfect matching among them.  Every solve checks its dual
-    certificate in O(n^2) before returning.
+    lex-smallest perfect matching among them.
+    """
+    costs, res = _certified_solve(c)
+    u, v = res.duals
+    tight = []
+    for row, ui in zip(costs, u):
+        # c_ij - v_j is the reduced cost plus u_i: tight where it equals u_i
+        shifted = list(map(sub, row, v))
+        js, j = [], -1
+        for _ in range(shifted.count(ui)):
+            j = shifted.index(ui, j + 1)
+            js.append(j)
+        tight.append(js)
+    matching = _lex_smallest_tight_matching(tight, res.matching)
+    if sum(map(getitem, costs, matching)) != res.total:  # tight edges only
+        raise RuntimeError("assignment dual does not certify the matching")
+    total = res.total if c.is_exact else math.fsum(map(getitem, c.values, matching))
+    return AssignmentResult(matching, total, res.duals)
+
+
+def _certified_solve(c):
+    """Some optimal matching of `c` with the dual that certifies it.
+
+    Returns the integer matrix solved (`c.values`, or the 2^40 grid for
+    "euclid") and an `AssignmentResult` in its units, which passes
+    `check_certificate`.  Raises RuntimeError on a dual that does not.
     """
     if c.rows != c.cols:
         raise NotSquareError(f"cost matrix is {c.rows}x{c.cols}")
-    n = c.rows
-    _check_assignment_size(n)
+    _check_assignment_size(c.rows)
     if c.is_exact:
         kinds = set(map(type, itertools.chain.from_iterable(c.values)))
         if not all(issubclass(t, int) for t in kinds):
@@ -186,29 +211,14 @@ def solve_assignment(c):
     else:
         costs = [[round(v * _EUCLID_SCALE) for v in row] for row in c.values]
     col_of, u, v = _shortest_augmenting_paths(costs)
-    tight = []
-    for i, row in enumerate(costs):
-        # c_ij - v_j is the reduced cost plus u_i: feasible where it is
-        # >= u_i and tight where it equals u_i
-        shifted = list(map(sub, row, v))
-        ui = u[i]
-        if min(shifted) < ui:
+    for i, (row, ui) in enumerate(zip(costs, u)):
+        if min(map(sub, row, v)) < ui:  # a negative reduced cost in row i
             raise RuntimeError(f"assignment dual infeasible in row {i}")
-        js, j = [], -1
-        for _ in range(shifted.count(ui)):
-            j = shifted.index(ui, j + 1)
-            js.append(j)
-        tight.append(js)
-    matching = _lex_smallest_tight_matching(tight, col_of)
     # with every reduced cost >= 0, equal sums force a zero on each matched pair
-    grid_total = sum(row[j] for row, j in zip(costs, matching))
-    if sum(u) + sum(v) != grid_total:
+    total = sum(map(getitem, costs, col_of))
+    if sum(u) + sum(v) != total:
         raise RuntimeError("assignment dual does not certify the matching")
-    if c.is_exact:
-        total = grid_total
-    else:
-        total = math.fsum(c.values[i][matching[i]] for i in range(n))
-    return AssignmentResult(matching, total, (tuple(u), tuple(v)))
+    return costs, AssignmentResult(tuple(col_of), total, (tuple(u), tuple(v)))
 
 
 def check_certificate(c, res):
@@ -428,9 +438,9 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
       "euclid" is a metric, but its float total over the moved points can
       differ from the full one in the last bit.
 
-    Every solve goes through `solve_assignment`, which checks its dual
-    certificate.  Returns an int for the exact kinds and a float for
-    "euclid".
+    Every solve checks its dual certificate.  "euclid" adds the lex step
+    of `solve_assignment`, as its float total depends on the optimum summed.
+    Returns an int for the exact kinds and a float for "euclid".
     """
     _check_kind(kind)
     _check_assignment_size(len(src))
@@ -444,7 +454,10 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
             else:
                 moved.append(x)
         src = moved
-    return solve_assignment(cost_matrix(src, dst, kind)).total
+    c = cost_matrix(src, dst, kind)
+    if kind == EUCLIDEAN:
+        return solve_assignment(c).total
+    return _certified_solve(c)[1].total
 
 
 def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):

@@ -219,6 +219,23 @@ def test_wasserstein_value(capsys, p42, p2211):
     assert out.split()[0] == "7/3"
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [("p42", "p2211"), ("p2211", "p42"), ("plane", "plane_sym"), ("p4321", "p5221"),
+     ("p42", "p42")],
+)
+def test_wasserstein_value_line_matches_the_lex_solve(capsys, request, a, b):
+    # the bare value takes the value-only solve; --plan and --certify the
+    # lex-smallest one, whose first line is the same value
+    paths = [request.getfixturevalue(a), request.getfixturevalue(b)]
+    for cost, flag in (("sq", "--plan"), ("l1", "--plan"), ("euclid", "--certify")):
+        argv = ["wasserstein", *paths, "--cost", cost]
+        assert cli.main(argv) == 0
+        value = capsys.readouterr().out
+        assert cli.main(argv + [flag]) == 0
+        assert value == capsys.readouterr().out.splitlines(keepends=True)[0]
+
+
 def test_wasserstein_self_is_zero(capsys, p42):
     assert cli.main(["wasserstein", p42, p42]) == 0
     assert capsys.readouterr().out.split()[0] == "0/1"

@@ -284,6 +284,13 @@ def test_involutions_of_s3():
     assert [s.one_line() for s in involutions(3)] == ["1 2 3", "1 3 2", "2 1 3", "3 2 1"]
 
 
+def test_is_involution_agrees_with_composing_twice():
+    for size in range(1, 6):
+        flags = [s.is_involution() for s in all_permutations(size)]
+        assert flags == [s.compose(s).is_identity() for s in all_permutations(size)]
+        assert any(flags) and (size < 3 or not all(flags))
+
+
 # ---------------------------------------------------------------------------
 # symmetrization
 

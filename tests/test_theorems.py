@@ -248,16 +248,18 @@ def test_orbit_keys_differ_across_orbits(instance, data):
 def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, kind):
     # One solve per orbit that moves cells: an orbit whose image is its
     # diagram has optimum 0 and no solve.  "l1" solves the k x k problem
-    # on the k moved cells, the other kinds the full n x n problem.
+    # on the k moved cells, the other kinds the full n x n problem.  Every
+    # solve, value-only or lex-smallest, runs the certified core, so it is
+    # recorded there.
     solved = []
 
     def recording(c):
-        res = solve(c)
+        costs, res = solve(c)
         solved.append((c, res))
-        return res
+        return costs, res
 
-    solve = transport.solve_assignment
-    monkeypatch.setattr(transport, "solve_assignment", recording)
+    solve = transport._certified_solve
+    monkeypatch.setattr(transport, "_certified_solve", recording)
     report = sweep(m, n_max, sigmas, kind=kind)
     orbits = _orbits(m, n_max, sigmas)
     moved = [(n, k) for n, k in orbits.values() if k]
@@ -344,7 +346,7 @@ def test_size_mismatch_is_raised_before_any_solve(monkeypatch):
     def refuse(c):
         raise AssertionError("solved before the size check")
 
-    monkeypatch.setattr(transport, "solve_assignment", refuse)
+    monkeypatch.setattr(transport, "_certified_solve", refuse)
     sigmas = [Permutation.identity(3), SWAP]
     with pytest.raises(SizeMismatchError, match="permutation of size 2 cannot act on 3"):
         verify_theorem_cor(2, 3, sigmas)

@@ -345,6 +345,51 @@ def test_solve_assignment_rejects_a_bad_dual(monkeypatch, duals, message):
         solve_assignment(c)
 
 
+@st.composite
+def int_matrices(draw):
+    """Square int matrices, negative entries included; small bounds tie."""
+    n = draw(st.integers(1, 9))
+    bound = draw(st.sampled_from([0, 1, 2, 10**6]))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_certified_core_total_is_the_optimum(values):
+    c = integer_cost_matrix(values)
+    costs, res = transport._certified_solve(c)
+    assert costs == c.values
+    assert check_certificate(c, res)
+    assert res.total == solve_assignment(c).total
+    if c.rows <= 7:
+        assert res.total == solve_bruteforce(c).total
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        # v_0 + 1 breaks u_i + v_0 <= c_i0 on the row matched to column 0
+        (1, "dual infeasible in row"),
+        # feasible, but u + v sums one short of the matched total
+        (-1, "does not certify"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+def test_value_solve_rejects_a_tampered_v(monkeypatch, shift, message, kind):
+    def tampered(costs):
+        col_of, u, v = solve(costs)
+        v[0] += shift
+        return col_of, u, v
+
+    solve = transport._shortest_augmenting_paths
+    monkeypatch.setattr(transport, "_shortest_augmenting_paths", tampered)
+    with pytest.raises(RuntimeError, match=message):
+        optimal_total(measure_of(P42), measure_of(P2211), kind)
+    with pytest.raises(RuntimeError, match=message):
+        transport._certified_solve(pair_measures(PLANE, PLANE_SYM, kind))
+
+
 def test_euclid_certificate_on_the_grid():
     c = pair_measures(P42, P2211, "euclid")
     res = solve_assignment(c)
@@ -531,7 +576,7 @@ def test_wasserstein_is_zero_runs_no_solve(monkeypatch):
     def no_solve(c):
         raise AssertionError("wasserstein_is_zero ran a solve")
 
-    monkeypatch.setattr(transport, "solve_assignment", no_solve)
+    monkeypatch.setattr(transport, "_certified_solve", no_solve)
     zero = [wasserstein_is_zero(a, b) for a, b in pairs]
     assert any(zero) and not all(zero)
     for kind, values in expected.items():
