@@ -3,18 +3,20 @@
 Subcommands: enumerate, symmetrize, wasserstein, verify, render.  Every
 path is a thin wrapper over the library; outputs are byte-deterministic.
 Exit codes: 0 success, 2 bad input or size guard, 3 verification failure.
+`main` builds its parser once per process and reuses it: parsing leaves
+an argparse parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
-from .errors import EnumerationTooLargeError, InstanceTooLargeError, PartitionOTError
+from .errors import EnumerationTooLargeError, PartitionOTError
 from .partitions import (
     Permutation,
     all_permutations,
@@ -38,10 +40,8 @@ from .transport import (
     EUCLIDEAN,
     SQUARED_EUCLIDEAN,
     check_certificate,
-    integer_cost_matrix,
     plan_cost,
     plan_to_json,
-    solve_assignment,
     solve_bruteforce,
     solve_transport,
     wasserstein,
@@ -105,9 +105,8 @@ def build_parser():
         "verify", parents=[common, costed], help="exhaustive verification sweeps"
     )
     p_v.add_argument(
-        "--theorem", choices=("main", "cor", "solver"), required=True,
-        help="main: candidate-matching optimality; cor: zero-distance criterion; "
-        "solver: random-matrix solver agreement",
+        "--theorem", choices=("main", "cor"), required=True,
+        help="main: candidate-matching optimality; cor: zero-distance criterion",
     )
     p_v.add_argument("--m", type=int, help="partition dimension")
     p_v.add_argument("--n-max", type=int, help="largest partition total to sweep")
@@ -118,15 +117,6 @@ def build_parser():
     )
     p_v.add_argument(
         "--max-cells", type=int, default=None, help="override the enumeration guard"
-    )
-    p_v.add_argument(
-        "--trials", type=int, default=100, help="random matrices for --theorem solver"
-    )
-    p_v.add_argument(
-        "--size", type=int, default=6, help="matrix size for --theorem solver"
-    )
-    p_v.add_argument(
-        "--seed", type=int, default=0, help="random-matrix seed for --theorem solver"
     )
 
     p_r = sub.add_parser("render", parents=[common], help="draw a diagram")
@@ -140,8 +130,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "enumerate": cmd_enumerate,
         "symmetrize": cmd_symmetrize,
@@ -224,8 +220,6 @@ def cmd_wasserstein(args):
 
 
 def cmd_verify(args):
-    if args.theorem == "solver":
-        return _verify_solver(args)
     if args.m is None or args.n_max is None:
         raise ValueError("verify needs --m and --n-max")
     if args.n_max < 1:
@@ -238,45 +232,6 @@ def cmd_verify(args):
     if args.out is not None:
         sys.stdout.write(format_summary(report))
     return EXIT_OK if report.violations == 0 else EXIT_VERIFY
-
-
-def _verify_solver(args):
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.size > BRUTE_FORCE_MAX:
-        raise InstanceTooLargeError(
-            f"--size {args.size} exceeds the oracle guard {BRUTE_FORCE_MAX}"
-        )
-    rng = random.Random(args.seed)
-    lines = []
-    disagreements = 0
-    for trial in range(args.trials):
-        values = [
-            [rng.randrange(100) for _ in range(args.size)] for _ in range(args.size)
-        ]
-        c = integer_cost_matrix(values)
-        total = solve_assignment(c).total
-        oracle = solve_bruteforce(c).total
-        agree = total == oracle
-        if not agree:
-            disagreements += 1
-        lines.append(
-            json.dumps(
-                {"trial": trial, "total": total, "oracle": oracle, "agree": agree},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    summary = {
-        "theorem": "solver",
-        "seed": args.seed,
-        "size": args.size,
-        "trials": args.trials,
-        "violations": disagreements,
-    }
-    lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if disagreements == 0 else EXIT_VERIFY
 
 
 def cmd_render(args):

@@ -143,13 +143,18 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
     `record` therefore runs once per orbit, on the orbit's first instance in
     enumeration order, and the orbit's fields are serialized once into a
     line template; every instance of the orbit fills in its own n,
-    partition and sigma.  The summary counts each orbit's fields once per
-    instance it holds.
+    partition and sigma.  Orbits with equal fields share one template.  The
+    summary counts each orbit's fields once per instance it holds.
     """
     sigmas = tuple(sigmas)
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
     lines = []
     orbits = {}  # orbit key -> (line template, fields, instances per sigma)
+    # line template per repr of the fields' values: one sweep has one record
+    # function, so the names and their order are fixed; repr tells apart
+    # what json prints apart (True and 1, 0.0 and -0.0), and equal reprs
+    # print alike
+    templates = {}
     for n in range(1, n_max + 1):
         partitions = enumerate_partitions(m, n, max_cells=max_cells)
         if n == 1:  # after the first enumeration, whose errors come first
@@ -161,7 +166,10 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
                 orbit = orbits.get(key)
                 if orbit is None:
                     fields = record(src, sigmas[i], kind)
-                    template = _line_template(theorem, m, fields)
+                    fkey = repr(tuple(fields.values()))
+                    template = templates.get(fkey)
+                    if template is None:
+                        template = templates[fkey] = _line_template(theorem, m, fields)
                     orbit = orbits[key] = (template, fields, [0] * len(sigmas))
                 orbit[2][i] += 1
                 lines.append(orbit[0] % (n, entries, sigma_json[i]))

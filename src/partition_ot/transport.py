@@ -13,6 +13,8 @@ returns the LP dual of that assignment problem with its matching; the
 dual certifies optimality in O(n^2) and fixes the lex-smallest optimum.
 Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 `wasserstein`) then skip the lex step, as every optimum has their total.
+Cost entries are type-checked once, when a `CostMatrix` is built, and no
+solve scans them again.
 """
 
 from __future__ import annotations
@@ -63,12 +65,33 @@ def l1_distance(a, b):
 class CostMatrix:
     """Pairwise costs between a source and a target point list.
 
-    `values` holds exact non-negative integers for the "sq" and "l1" kinds
-    and floats for "euclid".
+    `values` holds exact integers for the "sq" and "l1" kinds and floats
+    for "euclid".  The constructor is the trust boundary: it freezes
+    `values` to a tuple of row tuples and raises ValueError for an unknown
+    kind or a non-int entry (bools included) under an exact kind, and
+    ShapeMismatchError for ragged rows.  Nothing checks the entries again.
     """
 
     kind: str
     values: tuple
+
+    def __post_init__(self):
+        _check_kind(self.kind)
+        values = tuple(map(tuple, self.values))
+        object.__setattr__(self, "values", values)
+        if self.kind != EUCLIDEAN:
+            for v in itertools.chain.from_iterable(values):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"cost entry {v!r} is not an integer")
+        if len(set(map(len, values))) > 1:
+            raise ShapeMismatchError("ragged cost matrix")
+
+    @classmethod
+    def _unchecked(cls, kind, values):
+        """A matrix the library built valid, made without the check."""
+        c = object.__new__(cls)
+        c.__dict__.update(kind=kind, values=values)
+        return c
 
     @property
     def rows(self):
@@ -90,8 +113,13 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     """Costs between all pairs of two point tuples of equal dimension.
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
+    The exact kinds need int coordinates, which give int costs.
     """
     _check_kind(kind)
+    if kind != EUCLIDEAN:
+        kinds = set(map(type, itertools.chain(*src, *dst)))
+        if not all(issubclass(t, int) for t in kinds):
+            raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
     dim = len(src[0]) if src else 0
     if src and dst and dim != len(dst[0]):
         raise DimensionMismatchError(
@@ -99,7 +127,7 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
         )
     if not dim:  # no rows, or zero-dimensional points, which all coincide
         zero = 0.0 if kind == EUCLIDEAN else 0
-        return CostMatrix(kind=kind, values=((zero,) * len(dst),) * len(src))
+        return CostMatrix._unchecked(kind, ((zero,) * len(dst),) * len(src))
     # Each cost is a sum of one term per coordinate, so a row is the sum of
     # one term list per coordinate.  Cell coordinates take few values, and
     # each coordinate value's terms against `dst` are built once, on first use.
@@ -119,10 +147,10 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
             terms.append(t)
         rows.append(tuple(reduce(_add_terms, terms)))
     if kind == EUCLIDEAN:
-        return CostMatrix(
-            kind=kind, values=tuple(tuple(map(math.sqrt, row)) for row in rows)
+        return CostMatrix._unchecked(
+            kind, tuple(tuple(map(math.sqrt, row)) for row in rows)
         )
-    return CostMatrix(kind=kind, values=tuple(rows))
+    return CostMatrix._unchecked(kind, tuple(rows))
 
 
 def _check_kind(kind):
@@ -134,19 +162,15 @@ def integer_cost_matrix(values, kind=SQUARED_EUCLIDEAN):
     """Wrap a plain integer matrix (generic problems and solver tests).
 
     Every entry must be an int; floats, bools and anything else raise
-    ValueError rather than being rounded into a different problem.
+    ValueError rather than being rounded into a different problem, as
+    `CostMatrix` does.  Empty matrices and the "euclid" kind are refused.
     """
-    vals = tuple(tuple(row) for row in values)
-    for row in vals:
-        for v in row:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"cost entry {v!r} is not an integer")
-    if not vals:
+    if kind == EUCLIDEAN:
+        raise NonIntegerCostsError("an integer cost matrix needs an exact kind")
+    c = CostMatrix(kind, values)
+    if not c.values:
         raise ShapeMismatchError("empty cost matrix")
-    widths = {len(row) for row in vals}
-    if len(widths) > 1:
-        raise ShapeMismatchError("ragged cost matrix")
-    return CostMatrix(kind=kind, values=vals)
+    return c
 
 
 class AssignmentResult(NamedTuple):
@@ -203,10 +227,7 @@ def _certified_solve(c):
     if c.rows != c.cols:
         raise NotSquareError(f"cost matrix is {c.rows}x{c.cols}")
     _check_assignment_size(c.rows)
-    if c.is_exact:
-        kinds = set(map(type, itertools.chain.from_iterable(c.values)))
-        if not all(issubclass(t, int) for t in kinds):
-            raise NonIntegerCostsError(f"kind {c.kind!r} requires integer costs")
+    if c.is_exact:  # int entries, checked when `c` was built
         costs = c.values
     else:
         costs = [[round(v * _EUCLID_SCALE) for v in row] for row in c.values]

@@ -101,6 +101,8 @@ def test_enumerate_guard_override(capsys):
         ["render", "p.json", "--seed", "3"],
         ["wasserstein", "a.json", "b.json", "--seed", "3"],
         ["wasserstein", "a.json", "b.json", "--certify", "--oracle-max", "10"],
+        ["verify", "--theorem", "solver"],
+        ["verify", "--theorem", "cor", "--m", "1", "--n-max", "2", "--seed", "3"],
     ],
 )
 def test_options_exist_only_where_read(capsys, argv):
@@ -399,19 +401,6 @@ def test_verify_reports_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_verify_solver_mode(capsys):
-    assert cli.main(["verify", "--theorem", "solver", "--seed", "1",
-                     "--trials", "25", "--size", "5"]) == 0
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert summary == {"theorem": "solver", "seed": 1, "size": 5, "trials": 25,
-                       "violations": 0}
-
-
-def test_verify_solver_size_guard_names_no_other_flag(capsys):
-    assert cli.main(["verify", "--theorem", "solver", "--size", "10"]) == 2
-    assert capsys.readouterr().err == "error: --size 10 exceeds the oracle guard 9\n"
-
-
 def test_verify_requires_m_and_nmax(capsys):
     assert cli.main(["verify", "--theorem", "cor"]) == 2
 
@@ -425,13 +414,6 @@ def test_verify_wrong_size_sigma(capsys, theorem):
     assert captured.err == (
         "error: permutation of size 2 cannot act on 3 coordinates\n"
     )
-
-
-def test_verify_solver_rejects_nonpositive_trials(capsys):
-    assert cli.main(["verify", "--theorem", "solver", "--trials", "-3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --trials must be >= 1, got -3\n"
 
 
 def test_verify_rejects_nonpositive_n_max(capsys):
@@ -505,3 +487,60 @@ def test_render_unsupported(capsys, plane):
 
 def test_missing_file(capsys):
     assert cli.main(["render", "/nonexistent/p.json"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _run_all(capsys, argvs):
+    """(exit code, stdout, stderr) of each `cli.main(argv)` call, in order."""
+    results = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch, p42, p2211):
+    argvs = [
+        ["verify", "--theorem", "main", "--m", "1", "--n-max", "6", "--sigma", "2 1"],
+        ["verify", "--theorem", "main", "--m", "1", "--n-max", "6"],  # sigma: all
+        ["wasserstein", p42, p2211, "--cost", "nope"],
+        ["wasserstein", p42, p2211],
+    ]
+    reused = _run_all(capsys, argvs)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new one per call
+    assert reused == _run_all(capsys, argvs)
+    assert [code for code, _, _ in reused] == [3, 3, 2, 0]
+    assert reused[3][1] == "7/3 (2.33333333333)\n"
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser_cache):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(3):
+        assert cli.main(["enumerate", "--m", "1", "--n", "4", "--count"]) == 0
+    assert capsys.readouterr().out == "5\n" * 3
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from partition_ot import (
     count_partitions,
     enumerate_partitions,
     format_summary,
+    from_json,
     hybrid_plan,
     involutions,
     measure_of,
@@ -340,6 +342,26 @@ def test_report_records_match_the_uncached_sweep():
     reference = uncached_sweep("cor", 2, 4, all_permutations(3), "euclid")
     assert report.records == reference.records
     assert any(isinstance(r["w"], float) and r["w"] > 0 for r in report.records)
+
+
+def test_orbits_share_a_line_template_only_when_fields_print_alike():
+    # orbit-invariant fields whose values compare equal but print apart
+    def record(src, sigma, kind):
+        n = len(src)
+        self_conjugate = sorted(c[::-1] for c in src) == list(src)
+        x = {1: True, 2: 1, 3: 0.0 if self_conjugate else -0.0}.get(n)
+        if n == 4:
+            x = [1, 2] if self_conjugate else [1, 2.0]
+        return {"violation": False, "x": x}
+
+    report = theorems._sweep("t", 1, 4, [Permutation.identity(2)], "sq", None,
+                             record, lambda weighted: {})
+    assert len(report.lines) == 1 + 2 + 3 + 5
+    for line in report.lines:
+        rec = json.loads(line)
+        assert line == theorems._dumps(rec)
+        src = measure_of(from_json({"m": 1, "entries": rec["partition"]}))
+        assert json.dumps(rec["x"]) == json.dumps(record(src, None, "sq")["x"])
 
 
 def test_size_mismatch_is_raised_before_any_solve(monkeypatch):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from partition_ot import (
     ASSIGNMENT_MAX_N,
+    CostMatrix,
     DimensionMismatchError,
     InstanceTooLargeError,
     MultiPartition,
+    NonIntegerCostsError,
     NotDownSetError,
     NotSquareError,
     Permutation,
@@ -128,6 +130,7 @@ def test_cost_matrix_matches_per_entry_distances(points, kind):
     else:
         assert c.values == reference
         assert all(type(v) is int for row in c.values for v in row)
+    assert CostMatrix(kind, c.values) == c  # built unchecked, yet it passes
 
 
 @pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
@@ -162,6 +165,44 @@ def test_integer_cost_matrix_rejects_non_integer_entries(values, bad):
     # int() would turn 1.7 and True into 1 and solve a different problem
     with pytest.raises(ValueError, match=f"cost entry {bad} is not an integer"):
         integer_cost_matrix(values)
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False])
+def test_cost_matrix_constructor_rejects_non_int_entries(kind, bad):
+    with pytest.raises(ValueError, match=f"cost entry {bad!r} is not an integer"):
+        CostMatrix(kind, ((0, 1), (bad, 0)))
+
+
+def test_cost_matrix_constructor_checks_and_freezes():
+    c = CostMatrix("euclid", [[0.0, 1.5], [math.sqrt(2), 0]])
+    assert c.values == ((0.0, 1.5), (math.sqrt(2), 0))
+    c = CostMatrix("sq", [[0, 1], [1, 0]])
+    assert c.values == ((0, 1), (1, 0)) and type(c.values[0]) is tuple
+    assert solve_assignment(c).total == 0
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        CostMatrix("taxicab", ((0,),))
+    with pytest.raises(ShapeMismatchError, match="ragged cost matrix"):
+        CostMatrix("sq", ((0, 1), (1,)))
+
+
+def test_integer_cost_matrix_refuses_empty_ragged_and_euclid():
+    with pytest.raises(ShapeMismatchError, match="empty cost matrix"):
+        integer_cost_matrix([])
+    with pytest.raises(ShapeMismatchError, match="ragged cost matrix"):
+        integer_cost_matrix([[0, 1], [1]])
+    with pytest.raises(NonIntegerCostsError):
+        integer_cost_matrix([[0.5]], kind="euclid")
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+def test_exact_costs_refuse_non_int_coordinates(kind):
+    # a float point would give float costs that no solve checks again
+    with pytest.raises(NonIntegerCostsError, match="requires integer coordinates"):
+        cost_matrix([(0.5, 0)], [(0, 0)], kind)
+    with pytest.raises(NonIntegerCostsError):
+        optimal_total(((0, 0), (1.0, 0)), ((0, 0), (0, 1)), kind)
+    assert cost_matrix([(0.5, 0)], [(0, 0)], "euclid").values == ((0.5,),)
 
 
 def test_integer_cost_matrix_keeps_integer_entries():
