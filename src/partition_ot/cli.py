@@ -27,7 +27,7 @@ from .partitions import (
     symmetrize,
     to_json,
 )
-from .render import FORMATS, RenderSpec, UnsupportedRenderError, render
+from .render import FORMATS, RenderSpec, render
 from .theorems import (
     check_sweep_size,
     format_summary,
@@ -150,10 +150,7 @@ def main(argv=None):
     except EnumerationTooLargeError as exc:
         print(f"error: {exc} (see --max-cells)", file=sys.stderr)
         return EXIT_INPUT
-    except (PartitionOTError, UnsupportedRenderError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (PartitionOTError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -185,6 +182,8 @@ def cmd_symmetrize(args):
 def cmd_wasserstein(args):
     a = _read_partition(args.a)
     b = _read_partition(args.b)
+    if args.plan and args.cost == EUCLIDEAN:
+        raise ValueError("--plan needs an exact cost kind (sq or l1)")
     if args.plan or args.certify:
         c, res = solve_transport(a, b, args.cost)
         value = plan_cost(res.matching, c)
@@ -212,8 +211,6 @@ def cmd_wasserstein(args):
             print("certify: the LP dual certificate does not hold", file=sys.stderr)
             return EXIT_VERIFY
     if args.plan:
-        if args.cost == EUCLIDEAN:
-            raise ValueError("--plan needs an exact cost kind (sq or l1)")
         lines.append(_compact(plan_to_json(res.matching, value)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import _cells, apply_permutation
+from .partitions import apply_permutation
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,10 @@ def measure_of(p):
     Every cell carries mass 1/n, so the points alone describe the measure.
     Their sorted order fixes the row and column indexing used by cost
     matrices and plans downstream.  This is the one cell form of a
-    partition; `partitions.from_cells` inverts it.  The cells are not
-    checked: p was checked when it was built.
+    partition, the `cells` that p carries since it was built;
+    `partitions.from_cells` inverts it.
     """
-    return tuple(sorted(_cells(p)))
+    return p.cells
 
 
 def decompose(p, sigma):

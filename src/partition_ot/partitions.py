@@ -6,9 +6,9 @@ stacked-cube diagram is a set of lattice cells, (m+1)-tuples of
 non-negative integers: coordinate 0 counts the stacked units above an index
 position and coordinates 1..m are the 0-based array indices.  A set of
 cells is a diagram exactly when it is a down-set: closed under decreasing
-any coordinate.  The one cell form is the sorted cell tuple that
-`measures.measure_of` returns; `from_cells` turns cells back into a
-partition.
+any coordinate.  The one cell form is the sorted cell tuple a partition
+carries as `cells`, built once with the partition; `measures.measure_of`
+returns it and `from_cells` turns cells back into a partition.
 
 Coordinate permutations act on cells through `apply_permutation` and on
 partitions through `symmetrize`; a partition fixed by a permutation is
@@ -53,12 +53,14 @@ class MultiPartition:
     weakly decrease along every axis.  The constructor checks all of this,
     and that n is the sum of the parts, to which n defaults.  It raises
     ValueError for a bad m or n, and NonPositiveEntryError, NotDownSetError
-    or NotMonotoneError for bad entries.
+    or NotMonotoneError for bad entries.  `cells` is the diagram as a sorted
+    tuple of cells, set once the entries pass; repr, == and hash ignore it.
     """
 
     m: int
     entries: tuple
     n: int = None
+    cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = dict(_checked_leaves(self.m, self.entries))
@@ -79,12 +81,13 @@ class MultiPartition:
             object.__setattr__(self, "n", total)
         elif not _is_int(self.n) or self.n != total:
             raise ValueError(f"n={self.n!r} is not the sum {total} of the parts")
+        object.__setattr__(self, "cells", _sorted_cells(self.m, self.entries))
 
     @classmethod
-    def _unchecked(cls, m, entries, n):
+    def _unchecked(cls, m, entries, n, cells):
         """A partition the library built valid, made without the check."""
         p = object.__new__(cls)
-        p.__dict__.update(m=m, entries=entries, n=n)
+        p.__dict__.update(m=m, entries=entries, n=n, cells=cells)
         return p
 
     def items(self):
@@ -202,6 +205,9 @@ def from_json(doc):
     """Inverse of `to_json`; m must be a JSON integer."""
     if not isinstance(doc, dict):
         raise ValueError(f"partition JSON must be an object, got {type(doc).__name__}")
+    for key in ("m", "entries"):
+        if key not in doc:
+            raise ValueError(f"partition JSON has no {key!r} key")
     return validate_array(doc["entries"], doc["m"])
 
 
@@ -282,12 +288,16 @@ def _listify(node):
 # cell form
 
 
-def _cells(p):
-    """The cells of p's diagram as a plain list: one (m+1)-tuple per unit."""
+def _sorted_cells(m, entries):
+    """The diagram cells of `entries`, sorted: by height, then index order."""
     cells = []
-    for base, part in _leaves(p.entries, p.m, 0):
-        cells.extend((a,) + base for a in range(part))
-    return cells
+    level = _leaves(entries, m, 0)
+    height = 0
+    while level:
+        cells.extend((height,) + base for base, _ in level)
+        height += 1
+        level = [(base, part) for base, part in level if part > height]
+    return tuple(cells)
 
 
 def from_cells(cells):
@@ -299,7 +309,7 @@ def from_cells(cells):
     """
     cells = frozenset(cells)
     _check_cells(cells)
-    return _from_diagram(cells)
+    return _from_diagram(tuple(sorted(cells)))
 
 
 def _check_cells(cells):
@@ -321,31 +331,24 @@ def _check_cells(cells):
 
 
 def _from_diagram(cells):
-    """The partition whose diagram is `cells`, a down-set, made unchecked."""
-    heights = {}
+    """The partition whose diagram is `cells`, a sorted down-set, unchecked."""
+    heights = {}  # the height-0 cells come first: bases in index order
     for cell in cells:
         base = cell[1:]
         heights[base] = heights.get(base, 0) + 1
-    m = len(next(iter(cells))) - 1
-    return MultiPartition._unchecked(m, _nest(heights, (), m), len(cells))
+    m = len(cells[0]) - 1
+    entries = _nest(list(heights.items()), m)
+    return MultiPartition._unchecked(m, entries, len(cells), cells)
 
 
-def _nest(heights, prefix, remaining):
-    if remaining == 1:
-        row = []
-        i = 0
-        while prefix + (i,) in heights:
-            row.append(heights[prefix + (i,)])
-            i += 1
-        return tuple(row)
-    out = []
-    i = 0
-    while True:
-        sub = _nest(heights, prefix + (i,), remaining - 1)
-        if not sub:
-            return tuple(out)
-        out.append(sub)
-        i += 1
+def _nest(leaves, depth):
+    """The nested parts of (base, part) pairs listed in index order."""
+    if depth == 1:
+        return tuple(part for _, part in leaves)
+    return tuple(
+        _nest([(base[1:], part) for base, part in group], depth - 1)
+        for _, group in itertools.groupby(leaves, lambda leaf: leaf[0][0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,7 @@ def _nest(heights, prefix, remaining):
 def apply_permutation(cells, sigma):
     """The sorted image of a diagram's cells under a coordinate permutation.
 
-    `cells` is a non-empty sequence of the cells, such as `measure_of(p)`.
+    `cells` is a non-empty sequence of the cells, such as `p.cells`.
     Permuting coordinates maps a down-set to a down-set, so the image is
     not checked.
     """
@@ -373,13 +376,12 @@ def symmetrize(p, sigma):
     Coordinate permutations preserve down-sets, so the result is a valid
     partition of the same n.
     """
-    return _from_diagram(apply_permutation(_cells(p), sigma))
+    return _from_diagram(apply_permutation(p.cells, sigma))
 
 
 def is_self_symmetric(p, sigma):
     """True when the diagram of p is setwise fixed by the permutation."""
-    cells = _cells(p)
-    return apply_permutation(cells, sigma) == tuple(sorted(cells))
+    return apply_permutation(p.cells, sigma) == p.cells
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +391,16 @@ def is_self_symmetric(p, sigma):
 def enumerate_partitions(m, n, max_cells=None):
     """All m-dimensional partitions of n, each exactly once.
 
-    Output order is canonical: lexicographic on the sorted cell list of the
+    Output order is canonical: lexicographic on the sorted cells of the
     diagram.  Refuses n above the per-dimension guard unless `max_cells`
     raises it; enumeration cost grows exponentially with n.
     """
     _check_guard(m, n, max_cells)
-    parts = [MultiPartition._unchecked(m, e, n) for e in _entry_trees(m, n)]
-    parts.sort(key=lambda p: sorted(_cells(p)))
+    parts = [
+        MultiPartition._unchecked(m, e, n, _sorted_cells(m, e))
+        for e in _entry_trees(m, n)
+    ]
+    parts.sort(key=operator.attrgetter("cells"))
     return parts
 
 

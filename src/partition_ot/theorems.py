@@ -95,8 +95,35 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     is `valid` when that defines a bijection onto the target cells, which
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
+
+    The optimum comes from `optimal_total`, and the candidate is costed over
+    its moved cells only, because every shared cell stays put at cost 0.
     """
-    return _hybrid(measure_of(p), sigma, kind)
+    if kind == EUCLIDEAN:
+        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
+    src = measure_of(p)
+    dst = apply_permutation(src, sigma)
+    n = len(src)
+    optimal = Fraction(optimal_total(src, dst, kind), n)
+    if dst == src:  # nothing moves: the candidate is the identity, at cost 0
+        return HybridPlanResult(True, optimal, optimal, True, tuple(range(n)))
+    # Every moved cell goes to its image, which always lies in dst.  The
+    # candidate is a bijection when no image lands on a shared cell.
+    dst_index = {cell: j for j, cell in enumerate(dst)}
+    distance = l1_distance if kind == L1 else squared_distance
+    matching = []
+    moved_cost = 0
+    for cell in src:
+        if cell in dst_index:
+            matching.append(dst_index[cell])
+        else:
+            image = sigma.apply_to_cell(cell)
+            matching.append(dst_index[image])
+            moved_cost += distance(cell, image)
+    if len(set(matching)) != n:
+        return HybridPlanResult(False, None, optimal, False, None)
+    cost = Fraction(moved_cost, n)
+    return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
 
 
 def verify_theorem_main(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None):
@@ -133,9 +160,9 @@ def check_sweep_size(m):
 def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
-    `record(src, sigma, kind)` returns the claim's fields for one instance,
-    where `src` is the partition's measure; `counts(weighted)` returns the
-    claim's extra summary counts from (fields, instances) pairs.
+    `record(p, sigma, kind)` returns the claim's fields for one instance;
+    `counts(weighted)` returns the claim's extra summary counts from
+    (fields, instances) pairs.
 
     Relabelling the m + 1 axes by any tau preserves every cost kind, so the
     instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
@@ -160,12 +187,11 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
         if n == 1:  # after the first enumeration, whose errors come first
             orbit_keys = _orbit_keys(m, sigmas)
         for p in partitions:
-            src = measure_of(p)
             entries = _dumps(p.entries)  # json writes tuples as arrays
-            for i, key in enumerate(orbit_keys(src)):
+            for i, key in enumerate(orbit_keys(measure_of(p))):
                 orbit = orbits.get(key)
                 if orbit is None:
-                    fields = record(src, sigmas[i], kind)
+                    fields = record(p, sigmas[i], kind)
                     fkey = repr(tuple(fields.values()))
                     template = templates.get(fkey)
                     if template is None:
@@ -257,8 +283,8 @@ def _orbit_keys(m, sigmas):
     return keys
 
 
-def _main_record(src, sigma, kind):
-    res = _hybrid(src, sigma, kind)
+def _main_record(p, sigma, kind):
+    res = hybrid_plan(p, sigma, kind)
     involution = sigma.is_involution()
     return {
         "involution": involution,
@@ -279,7 +305,8 @@ def _main_counts(weighted):
     return {"noninvolutive_findings": findings}
 
 
-def _cor_record(src, sigma, kind):
+def _cor_record(p, sigma, kind):
+    src = measure_of(p)
     dst = apply_permutation(src, sigma)
     total = optimal_total(src, dst, kind)
     if kind == EUCLIDEAN:
@@ -300,38 +327,6 @@ def _cor_record(src, sigma, kind):
 
 def _cor_counts(weighted):
     return {"self_symmetric_count": sum(k for f, k in weighted if f["self_symmetric"])}
-
-
-def _hybrid(src, sigma, kind):
-    """hybrid_plan on the measure `src` of a partition.
-
-    The optimum comes from `optimal_total`, and the candidate is costed over
-    its moved cells only, because every shared cell stays put at cost 0.
-    """
-    if kind == EUCLIDEAN:
-        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
-    dst = apply_permutation(src, sigma)
-    n = len(src)
-    optimal = Fraction(optimal_total(src, dst, kind), n)
-    if dst == src:  # nothing moves: the candidate is the identity, at cost 0
-        return HybridPlanResult(True, optimal, optimal, True, tuple(range(n)))
-    # Every moved cell goes to its image, which always lies in dst.  The
-    # candidate is a bijection when no image lands on a shared cell.
-    dst_index = {cell: j for j, cell in enumerate(dst)}
-    distance = l1_distance if kind == L1 else squared_distance
-    matching = []
-    moved_cost = 0
-    for cell in src:
-        if cell in dst_index:
-            matching.append(dst_index[cell])
-        else:
-            image = sigma.apply_to_cell(cell)
-            matching.append(dst_index[image])
-            moved_cost += distance(cell, image)
-    if len(set(matching)) != n:
-        return HybridPlanResult(False, None, optimal, False, None)
-    cost = Fraction(moved_cost, n)
-    return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
 
 
 def format_summary(report):

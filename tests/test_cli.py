@@ -150,6 +150,15 @@ def test_symmetrize_bad_sigma(capsys, p42):
     assert cli.main(["symmetrize", p42, "--sigma", "1 2 3"]) == 2  # size mismatch
 
 
+@pytest.mark.parametrize("doc, key", [({"m": 1}, "entries"), ({"entries": [1]}, "m")])
+def test_partition_json_missing_a_key_exits_2(capsys, tmp_path, doc, key):
+    path = write_partition(tmp_path, "partial.json", doc)
+    assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: partition JSON has no '{key}' key\n"
+
+
 def test_symmetrize_rejects_non_object_document(capsys, tmp_path):
     path = write_partition(tmp_path, "array.json", [1, 2])
     assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
@@ -318,6 +327,17 @@ def test_wasserstein_plan_json(capsys, p42, p2211):
 
 def test_wasserstein_plan_rejects_euclid(capsys, p42, p2211):
     assert cli.main(["wasserstein", p42, p2211, "--plan", "--cost", "euclid"]) == 2
+
+
+def test_wasserstein_plan_refuses_euclid_before_solving(capsys, monkeypatch, p42, p2211):
+    def refuse(*args):
+        raise AssertionError("solved before the --plan check")
+
+    monkeypatch.setattr(cli, "solve_transport", refuse)
+    assert cli.main(["wasserstein", p42, p2211, "--plan", "--cost", "euclid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --plan needs an exact cost kind (sq or l1)\n"
 
 
 def test_wasserstein_shape_mismatch(capsys, tmp_path, p42):

@@ -155,6 +155,26 @@ def test_cells_are_checked_only_where_they_enter(monkeypatch):
     assert calls == []
 
 
+def test_partitions_carry_their_sorted_cells():
+    p = validate_array([[2, 1], [1]], 2)
+    assert measure_of(p) is p.cells
+    assert p.cells == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    for q in (symmetrize(p, Permutation.from_one_line("3 2 1")), from_cells(p.cells)):
+        assert q.cells == tuple(sorted(q.cells))
+        assert MultiPartition(q.m, q.entries).cells == q.cells
+    for q in enumerate_partitions(2, 5):
+        assert q.cells == MultiPartition(2, q.entries).cells
+
+
+def test_repr_eq_and_hash_ignore_the_cells():
+    p = validate_array([4, 2], 1)
+    assert repr(p) == "MultiPartition(m=1, entries=(4, 2), n=6)"
+    assert from_cells(measure_of(p)) == p
+    assert hash(from_cells(measure_of(p))) == hash(p)
+    stale = MultiPartition._unchecked(1, (4, 2), 6, ())
+    assert stale == p and hash(stale) == hash(p) and repr(stale) == repr(p)
+
+
 def test_round_trips():
     for m, n_max in ((1, 7), (2, 5), (3, 4)):
         for p in sample_partitions(m, n_max):
@@ -393,16 +413,17 @@ def frozen(node):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), ragged_arrays(m))))
 def test_walks_follow_the_recursive_reference(case):
-    """items(), the cell list and validate_array's walk visit the same
-    (index, part) pairs in the same order as a recursive walk, valid
-    partition or not."""
+    """items() and validate_array's walk visit the same (index, part) pairs
+    in the same order as a recursive walk, and the cell builder lists the
+    walk's cells in sorted order, valid partition or not."""
     m, raw = case
     entries = frozen(raw)
     expected = list(walk_reference.walk(entries, (), m))
     # unchecked, so the walks also run on arrays that are no partition
-    p = MultiPartition._unchecked(m, entries, sum(part for _, part in expected))
+    cells = partitions._sorted_cells(m, entries)
+    assert cells == tuple(sorted(walk_reference.cells(entries, m)))
+    p = MultiPartition._unchecked(m, entries, len(cells), cells)
     assert list(p.items()) == expected
-    assert partitions._cells(p) == walk_reference.cells(entries, m)
     real, walks = partitions._checked_leaves, []
 
     def recording(*args):

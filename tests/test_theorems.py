@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_ot import (
+    SQUARED_EUCLIDEAN,
     SWEEP_MAX_M,
     InstanceTooLargeError,
     NonIntegerCostsError,
@@ -346,7 +347,8 @@ def test_report_records_match_the_uncached_sweep():
 
 def test_orbits_share_a_line_template_only_when_fields_print_alike():
     # orbit-invariant fields whose values compare equal but print apart
-    def record(src, sigma, kind):
+    def record(p, sigma, kind):
+        src = measure_of(p)
         n = len(src)
         self_conjugate = sorted(c[::-1] for c in src) == list(src)
         x = {1: True, 2: 1, 3: 0.0 if self_conjugate else -0.0}.get(n)
@@ -360,8 +362,38 @@ def test_orbits_share_a_line_template_only_when_fields_print_alike():
     for line in report.lines:
         rec = json.loads(line)
         assert line == theorems._dumps(rec)
-        src = measure_of(from_json({"m": 1, "entries": rec["partition"]}))
-        assert json.dumps(rec["x"]) == json.dumps(record(src, None, "sq")["x"])
+        p = from_json({"m": 1, "entries": rec["partition"]})
+        assert json.dumps(rec["x"]) == json.dumps(record(p, None, "sq")["x"])
+
+
+def test_a_main_sweep_builds_each_partition_s_cells_once(monkeypatch):
+    from partition_ot import partitions
+
+    built = []
+    real = partitions._sorted_cells
+
+    def counting(m, entries):
+        built.append(entries)
+        return real(m, entries)
+
+    monkeypatch.setattr(partitions, "_sorted_cells", counting)
+    report = verify_theorem_main(2, 6, involutions(3))
+    # 1 + 3 + 6 + 13 + 24 + 48 plane partitions of n <= 6
+    assert len(built) == len(set(built)) == 95
+    assert report.summary["records"] == 95 * len(involutions(3))
+
+
+def test_the_main_sweep_runs_hybrid_plan(monkeypatch):
+    expected = verify_theorem_main(2, 5, involutions(3)).to_jsonl()
+    calls = []
+
+    def counting(p, sigma, kind=SQUARED_EUCLIDEAN):
+        calls.append((p.entries, sigma.images))
+        return hybrid_plan(p, sigma, kind)
+
+    monkeypatch.setattr(theorems, "hybrid_plan", counting)
+    assert verify_theorem_main(2, 5, involutions(3)).to_jsonl() == expected
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_size_mismatch_is_raised_before_any_solve(monkeypatch):

@@ -11,7 +11,7 @@ the records once per sigma.
 import json
 from dataclasses import dataclass
 
-from partition_ot import enumerate_partitions, measure_of, to_json
+from partition_ot import enumerate_partitions, to_json
 from partition_ot.theorems import _cor_counts, _cor_record, _main_counts, _main_record
 
 CLAIMS = {"main": (_main_record, _main_counts), "cor": (_cor_record, _cor_counts)}
@@ -55,7 +55,6 @@ def uncached_sweep(theorem, m, n_max, sigmas, kind):
     records = []
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(m, n):
-            src = measure_of(p)
             entries = to_json(p)["entries"]
             for sigma in sigmas:
                 records.append(
@@ -65,7 +64,7 @@ def uncached_sweep(theorem, m, n_max, sigmas, kind):
                         "n": n,
                         "partition": entries,
                         "sigma": list(sigma.images),
-                        **record(src, sigma, kind),
+                        **record(p, sigma, kind),
                     }
                 )
     summary = {

@@ -1,7 +1,7 @@
 """Reference walk of a partition's nested entries, by recursion.
 
 A depth-first generator over the ragged array: the differential reference
-for `MultiPartition.items`, the cell list and the walk inside
+for `MultiPartition.items`, the cell builder and the walk inside
 `validate_array`.  It shares no code with the library.
 """
 
