@@ -4,7 +4,9 @@ Subcommands: enumerate, symmetrize, wasserstein, verify, render.  Every
 path is a thin wrapper over the library; outputs are byte-deterministic.
 Exit codes: 0 success, 2 bad input or size guard, 3 verification failure.
 `main` builds its parser once per process and reuses it: parsing leaves
-an argparse parser unchanged.
+an argparse parser unchanged.  Every call is a new process, so importing
+this module loads only `argparse`, `json` and `fractions` beside the
+package: no `dataclasses`, `inspect` or `typing`.
 """
 
 from __future__ import annotations

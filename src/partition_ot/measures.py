@@ -10,18 +10,17 @@ moved parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import apply_permutation
 
 
-@dataclass(frozen=True)
-class SupportDecomposition:
-    """Split of source and target cells into shared and exclusive parts."""
-
-    common: frozenset
-    source_only: frozenset
-    target_only: frozenset
+SupportDecomposition = namedtuple(
+    "SupportDecomposition", "common source_only target_only"
+)
+SupportDecomposition.__doc__ = (
+    "Split of source and target cells into shared and exclusive parts."
+)
 
 
 def measure_of(p):

@@ -12,14 +12,16 @@ returns it and `from_cells` turns cells back into a partition.
 
 Coordinate permutations act on cells through `apply_permutation` and on
 partitions through `symmetrize`; a partition fixed by a permutation is
-detected by `is_self_symmetric`.
+detected by `is_self_symmetric`.  `MultiPartition`, `Permutation` and
+`transport.CostMatrix` are immutable values on one plain base, `_Frozen`;
+the package's records are named tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -34,6 +36,11 @@ from .errors import (
 # Enumeration refuses n above these cell counts unless overridden.
 DEFAULT_MAX_CELLS = {1: 12, 2: 12}
 FALLBACK_MAX_CELLS = 8  # m >= 3
+# Large m lowers the default: it admits n while comb(m + n - 1, n - 1)
+# partitions of m * n build steps each stay within this estimate.  m = 400,
+# n = 2 (320,800) took 0.59 s, m = 30, n = 5 (6,956,400) 8 s and m = 400,
+# n = 3 172 s, with Python 3.11 on a shared 2-CPU VM.
+MAX_ENUMERATION_WORK = 400_000
 # Enumeration refuses larger m: building and printing a partition
 # recurse once per dimension, and m = 500 already exceeded Python's default
 # recursion limit of 1000 frames.
@@ -41,11 +48,43 @@ MAX_DIMENSION = 400
 
 
 def default_max_cells(m):
-    return DEFAULT_MAX_CELLS.get(m, FALLBACK_MAX_CELLS)
+    """The largest n that enumeration admits at dimension m by default."""
+    n = DEFAULT_MAX_CELLS.get(m, FALLBACK_MAX_CELLS)
+    while n > 1 and math.comb(m + n - 1, n - 1) * m * n > MAX_ENUMERATION_WORK:
+        n -= 1
+    return n
 
 
-@dataclass(frozen=True)
-class MultiPartition:
+class _Frozen:
+    """Immutable value whose ==, hash and repr read the fields in `_fields`.
+
+    As a frozen dataclass's would, without importing `dataclasses`.  Other
+    attributes, such as `MultiPartition.cells`, stay out of all three.
+    """
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MultiPartition(_Frozen):
     """Ragged array of positive integer parts summing to n.
 
     `entries` is a nested tuple of depth `m` with the parts at the leaves.
@@ -57,15 +96,12 @@ class MultiPartition:
     tuple of cells, set once the entries pass; repr, == and hash ignore it.
     """
 
-    m: int
-    entries: tuple
-    n: int = None
-    cells: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("m", "entries", "n")
 
-    def __post_init__(self):
-        parts = dict(_checked_leaves(self.m, self.entries))
+    def __init__(self, m, entries, n=None):
+        parts = dict(_checked_leaves(m, entries))
         for idx, part in parts.items():
-            for j in range(self.m):
+            for j in range(m):
                 if idx[j] > 1:
                     below = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
                     if below not in parts:
@@ -77,11 +113,12 @@ class MultiPartition:
                             f"part {part} at {idx} exceeds part {parts[below]} at {below}"
                         )
         total = sum(parts.values())
-        if self.n is None:
-            object.__setattr__(self, "n", total)
-        elif not _is_int(self.n) or self.n != total:
-            raise ValueError(f"n={self.n!r} is not the sum {total} of the parts")
-        object.__setattr__(self, "cells", _sorted_cells(self.m, self.entries))
+        if n is None:
+            n = total
+        elif not _is_int(n) or n != total:
+            raise ValueError(f"n={n!r} is not the sum {total} of the parts")
+        cells = _sorted_cells(m, entries)
+        self.__dict__.update(m=m, entries=entries, n=n, cells=cells)
 
     @classmethod
     def _unchecked(cls, m, entries, n, cells):
@@ -98,8 +135,7 @@ class MultiPartition:
         return str(_listify(self.entries))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """Element of the symmetric group on {1, ..., size}, one-line notation.
 
     `images[k]` is the image of k + 1.  `apply_to_cell(cell)` permutes the
@@ -107,15 +143,12 @@ class Permutation:
     moves to coordinate images[k - 1] - 1.
     """
 
-    images: tuple
-    apply_to_cell: object = field(init=False, repr=False, compare=False)
+    _fields = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(
-                f"not a permutation of 1..{len(self.images)}: {self.images!r}"
-            )
-        object.__setattr__(self, "apply_to_cell", _cell_action(self.images))
+    def __init__(self, images):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+        self.__dict__.update(images=images, apply_to_cell=_cell_action(images))
 
     @property
     def size(self):
@@ -392,8 +425,8 @@ def enumerate_partitions(m, n, max_cells=None):
     """All m-dimensional partitions of n, each exactly once.
 
     Output order is canonical: lexicographic on the sorted cells of the
-    diagram.  Refuses n above the per-dimension guard unless `max_cells`
-    raises it; enumeration cost grows exponentially with n.
+    diagram.  Refuses n above `default_max_cells(m)` unless `max_cells`
+    raises it: the cost grows exponentially with n, and like m^(n - 1).
     """
     _check_guard(m, n, max_cells)
     parts = [

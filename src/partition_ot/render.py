@@ -10,7 +10,7 @@ Identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .measures import decompose, measure_of
 
@@ -31,12 +31,8 @@ class UnsupportedRenderError(ValueError):
     """Requested (format, dimension) combination is not renderable."""
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    """Output format plus the side of one cell in output units."""
-
-    format: str = ASCII
-    cell_size: float = 24.0
+RenderSpec = namedtuple("RenderSpec", "format cell_size", defaults=(ASCII, 24.0))
+RenderSpec.__doc__ = "Output format plus the side of one cell in output units."
 
 
 def render(p, spec, sigma=None):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
@@ -44,19 +44,19 @@ from .transport import (
 SWEEP_MAX_M = 7
 
 
-@dataclass(frozen=True)
-class HybridPlanResult:
-    """Outcome of the fix-common, permute-the-rest candidate matching."""
+HybridPlanResult = namedtuple(
+    "HybridPlanResult",
+    "valid cost optimal_cost matches_optimum matching",
+    defaults=(None,),
+)
+HybridPlanResult.__doc__ = (
+    "Outcome of the fix-common, permute-the-rest candidate matching."
+)
 
-    valid: bool
-    cost: Fraction
-    optimal_cost: Fraction
-    matches_optimum: bool
-    matching: tuple = None
+_SWEEP_FIELDS = "theorem m n_max sigmas kind lines summary sigma_counts"
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(namedtuple("SweepReport", _SWEEP_FIELDS)):
     """One verification sweep: its JSON record lines plus summary counts.
 
     `lines` holds one serialized record per instance, in enumeration
@@ -64,14 +64,7 @@ class SweepReport:
     violations) tally.
     """
 
-    theorem: str
-    m: int
-    n_max: int
-    sigmas: tuple
-    kind: str
-    lines: tuple
-    summary: dict
-    sigma_counts: dict
+    __slots__ = ()
 
     @property
     def records(self):
@@ -351,5 +344,5 @@ def _frac_json(value):
     return [value.numerator, value.denominator]
 
 
-def _dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), its encoder built once
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, getitem, sub
-from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +34,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
+from .partitions import _Frozen
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -61,8 +61,7 @@ def l1_distance(a, b):
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(_Frozen):
     """Pairwise costs between a source and a target point list.
 
     `values` holds exact integers for the "sq" and "l1" kinds and floats
@@ -72,19 +71,18 @@ class CostMatrix:
     ShapeMismatchError for ragged rows.  Nothing checks the entries again.
     """
 
-    kind: str
-    values: tuple
+    _fields = ("kind", "values")
 
-    def __post_init__(self):
-        _check_kind(self.kind)
-        values = tuple(map(tuple, self.values))
-        object.__setattr__(self, "values", values)
-        if self.kind != EUCLIDEAN:
+    def __init__(self, kind, values):
+        _check_kind(kind)
+        values = tuple(map(tuple, values))
+        if kind != EUCLIDEAN:
             for v in itertools.chain.from_iterable(values):
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"cost entry {v!r} is not an integer")
         if len(set(map(len, values))) > 1:
             raise ShapeMismatchError("ragged cost matrix")
+        self.__dict__.update(kind=kind, values=values)
 
     @classmethod
     def _unchecked(cls, kind, values):
@@ -173,17 +171,17 @@ def integer_cost_matrix(values, kind=SQUARED_EUCLIDEAN):
     return c
 
 
-class AssignmentResult(NamedTuple):
-    """A minimum-cost perfect matching and the LP dual that proves it optimal.
+AssignmentResult = namedtuple(
+    "AssignmentResult", "matching total duals", defaults=(None,)
+)
+AssignmentResult.__doc__ = """A minimum-cost perfect matching and its LP dual.
 
-    `duals` is (u, v), one potential per row and per column, in the units of
-    the integer matrix the solver ran on: the costs themselves for the exact
-    kinds, the 2^40 grid for "euclid".  See `check_certificate`.
-    """
-
-    matching: tuple
-    total: object  # int for exact kinds, float otherwise
-    duals: tuple = None
+`total` is an int for the exact kinds and a float otherwise.  `duals` is
+(u, v), one potential per row and per column, in the units of the integer
+matrix the solver ran on: the costs themselves for the exact kinds, the
+2^40 grid for "euclid".  The dual proves the matching optimal; see
+`check_certificate`.
+"""
 
 
 def solve_assignment(c):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
-from partition_ot import ASSIGNMENT_MAX_N, cli
+from partition_ot import ASSIGNMENT_MAX_N, cli, partitions
 
 
 def write_partition(tmp_path, name, doc):
@@ -90,6 +91,27 @@ def test_enumerate_guard_override(capsys):
         ["enumerate", "--m", "1", "--n", "13", "--count", "--max-cells", "13"]
     ) == 0
     assert capsys.readouterr().out == "101\n"
+
+
+@pytest.mark.parametrize("m, n, cap", [(400, 3, 2), (30, 5, 3)])
+def test_enumerate_refuses_large_m_before_enumerating(capsys, m, n, cap):
+    # both pass the dimension guard and the cap of 8; unguarded, m = 400
+    # ran for minutes and m = 30 for seconds
+    start = time.perf_counter()
+    assert cli.main(["enumerate", "--m", str(m), "--n", str(n), "--count"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: n={n} exceeds the enumeration guard {cap} for m={m}; "
+        "raise the max-cells limit to override (see --max-cells)\n"
+    )
+
+
+def test_max_cells_overrides_the_work_guard(capsys, monkeypatch):
+    monkeypatch.setattr(partitions, "MAX_ENUMERATION_WORK", 100)
+    assert cli.main(["enumerate", "--m", "3", "--n", "4", "--count"]) == 2
+    argv = ["enumerate", "--m", "3", "--n", "4", "--count", "--max-cells", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "26\n"
 
 
 @pytest.mark.parametrize(

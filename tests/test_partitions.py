@@ -19,6 +19,7 @@ from partition_ot import (
     all_permutations,
     apply_permutation,
     count_partitions,
+    default_max_cells,
     enumerate_partitions,
     from_cells,
     from_json,
@@ -256,6 +257,16 @@ def test_enumeration_guard():
     with pytest.raises(InstanceTooLargeError):
         enumerate_partitions(3, 9)
     assert count_partitions(1, 13, max_cells=13) == 101
+
+
+def test_default_guard_falls_with_m_and_admits_the_documented_sizes():
+    assert [default_max_cells(m) for m in range(1, 8)] == [12, 12, 8, 8, 8, 8, 8]
+    caps = [default_max_cells(m) for m in range(1, MAX_DIMENSION + 1)]
+    assert caps == sorted(caps, reverse=True)
+    assert (default_max_cells(30), default_max_cells(MAX_DIMENSION)) == (3, 2)
+    # sizes the README, demos, bench and tests enumerate by default
+    for m, n in ((3, 8), (4, 8), (5, 7), (7, 2), (MAX_DIMENSION, 2)):
+        assert n <= default_max_cells(m)
 
 
 def test_dimension_guard():
