@@ -62,12 +62,13 @@ from .transport import (
     COST_KINDS,
     EUCLIDEAN,
     L1,
+    POINT_COSTS,
     SQUARED_EUCLIDEAN,
     AssignmentResult,
     CostMatrix,
     check_certificate,
     cost_matrix,
-    integer_cost_matrix,
+    distance_of_total,
     is_c_cyclically_monotone,
     l1_distance,
     optimal_total,
@@ -78,7 +79,6 @@ from .transport import (
     solve_transport,
     squared_distance,
     wasserstein,
-    wasserstein_is_zero,
 )
 
 __version__ = "0.1.0"

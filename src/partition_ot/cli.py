@@ -22,6 +22,7 @@ from .errors import EnumerationTooLargeError, PartitionOTError
 from .partitions import (
     Permutation,
     all_permutations,
+    count_partitions,
     enumerate_partitions,
     from_json,
     involutions,
@@ -42,7 +43,7 @@ from .transport import (
     EUCLIDEAN,
     SQUARED_EUCLIDEAN,
     check_certificate,
-    plan_cost,
+    distance_of_total,
     plan_to_json,
     solve_bruteforce,
     solve_transport,
@@ -162,10 +163,10 @@ def run():
 
 
 def cmd_enumerate(args):
-    parts = enumerate_partitions(args.m, args.n, max_cells=args.max_cells)
     if args.count:
-        text = f"{len(parts)}\n"
+        text = f"{count_partitions(args.m, args.n, max_cells=args.max_cells)}\n"
     else:
+        parts = enumerate_partitions(args.m, args.n, max_cells=args.max_cells)
         text = "".join(_compact(to_json(p)) + "\n" for p in parts)
     _emit(text, args.out)
     return EXIT_OK
@@ -187,8 +188,8 @@ def cmd_wasserstein(args):
     if args.plan and args.cost == EUCLIDEAN:
         raise ValueError("--plan needs an exact cost kind (sq or l1)")
     if args.plan or args.certify:
-        c, res = solve_transport(a, b, args.cost)
-        value = plan_cost(res.matching, c)
+        c, res = solve_transport(a, b, args.cost)  # its dual certifies res.total
+        value = distance_of_total(res.total, a.n, args.cost)
     else:  # the value alone needs no matching
         value = wasserstein(a, b, args.cost)
     if isinstance(value, Fraction):

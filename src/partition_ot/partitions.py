@@ -7,8 +7,9 @@ non-negative integers: coordinate 0 counts the stacked units above an index
 position and coordinates 1..m are the 0-based array indices.  A set of
 cells is a diagram exactly when it is a down-set: closed under decreasing
 any coordinate.  The one cell form is the sorted cell tuple a partition
-carries as `cells`, built once with the partition; `measures.measure_of`
-returns it and `from_cells` turns cells back into a partition.
+carries as `cells`, built once, on first read or by the builder that made
+the partition; `measures.measure_of` returns it and `from_cells` turns
+cells back into a partition.
 
 Coordinate permutations act on cells through `apply_permutation` and on
 partitions through `symmetrize`; a partition fixed by a permutation is
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     EnumerationTooLargeError,
@@ -45,6 +46,10 @@ MAX_ENUMERATION_WORK = 400_000
 # recurse once per dimension, and m = 500 already exceeded Python's default
 # recursion limit of 1000 frames.
 MAX_DIMENSION = 400
+# A partition refuses a larger n, before any of its cells is built.  At
+# this n, symmetrizing took 5.6 s and 562 MiB and rendering with a
+# permutation 37 s, with Python 3.11 on a shared 2-CPU VM.
+_CELL_CAP = 1_600_000
 
 
 def default_max_cells(m):
@@ -92,8 +97,10 @@ class MultiPartition(_Frozen):
     weakly decrease along every axis.  The constructor checks all of this,
     and that n is the sum of the parts, to which n defaults.  It raises
     ValueError for a bad m or n, and NonPositiveEntryError, NotDownSetError
-    or NotMonotoneError for bad entries.  `cells` is the diagram as a sorted
-    tuple of cells, set once the entries pass; repr, == and hash ignore it.
+    or NotMonotoneError for bad entries, and InstanceTooLargeError for n
+    above `_CELL_CAP`.  `cells` is the diagram as a sorted tuple of cells,
+    built on first read or handed over by the library's builders; repr, ==
+    and hash ignore it.
     """
 
     _fields = ("m", "entries", "n")
@@ -117,8 +124,9 @@ class MultiPartition(_Frozen):
             n = total
         elif not _is_int(n) or n != total:
             raise ValueError(f"n={n!r} is not the sum {total} of the parts")
-        cells = _sorted_cells(m, entries)
-        self.__dict__.update(m=m, entries=entries, n=n, cells=cells)
+        if n > _CELL_CAP:
+            raise InstanceTooLargeError(f"n={n} exceeds the cell guard {_CELL_CAP}")
+        self.__dict__.update(m=m, entries=entries, n=n)
 
     @classmethod
     def _unchecked(cls, m, entries, n, cells):
@@ -127,9 +135,9 @@ class MultiPartition(_Frozen):
         p.__dict__.update(m=m, entries=entries, n=n, cells=cells)
         return p
 
-    def items(self):
-        """Yield ((i_1, ..., i_m), part) pairs in index order, 1-based."""
-        yield from _leaves(self.entries, self.m, 1)
+    @cached_property
+    def cells(self):
+        return _sorted_cells(self.m, self.entries)
 
     def __str__(self):
         return str(_listify(self.entries))
@@ -146,6 +154,7 @@ class Permutation(_Frozen):
     _fields = ("images",)
 
     def __init__(self, images):
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
         self.__dict__.update(images=images, apply_to_cell=_cell_action(images))
@@ -172,11 +181,8 @@ class Permutation(_Frozen):
     def one_line(self):
         return " ".join(str(i) for i in self.images)
 
-    def __call__(self, k):
-        return self.images[k - 1]
-
     def compose(self, other):
-        """self after other: self.compose(other)(k) = self(other(k))."""
+        """self after other: k goes to images[other.images[k - 1] - 1]."""
         return Permutation(
             tuple(self.images[other.images[k] - 1] for k in range(self.size))
         )
@@ -263,16 +269,21 @@ def _freeze(node, depth):
 
 
 def _checked_leaves(m, entries):
-    """`_leaves(entries, m, 1)`, raising where the shape or a part is bad.
+    """(index tuple, part) pairs of `entries`, 1-based, in index order.
 
-    m must be an integer >= 1, every node above the parts a non-empty
-    tuple, and every part an integer >= 1.
+    Raises where the shape or a part is bad: m must be an integer >= 1,
+    every node above the parts a non-empty tuple, and every part an
+    integer >= 1.
     """
     if not _is_int(m):
         raise ValueError(f"dimension m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"dimension m must be >= 1, got {m}")
-    if not isinstance(entries, tuple) or not entries:
+    if not isinstance(entries, tuple):
+        raise NonPositiveEntryError(
+            f"partition entries must be a nested tuple, got {type(entries).__name__}"
+        )
+    if not entries:
         raise NonPositiveEntryError("a partition needs at least one positive part")
     level = [((), entries)]
     for _ in range(m):
@@ -294,19 +305,19 @@ def _checked_leaves(m, entries):
     return level
 
 
-def _leaves(entries, depth, start):
+def _leaves(entries, depth):
     """(index tuple, part) pairs of a depth-`depth` nested tuple, in index order.
 
-    Indices count from `start`.  One level at a time, each node's children
-    in order, so the last level lists the leaves in lexicographic index
-    order, with no recursion.
+    Indices count from 0.  One level at a time, each node's children in
+    order, so the last level lists the leaves in lexicographic index order,
+    with no recursion.
     """
     level = [((), entries)]
     for _ in range(depth):
         level = [
             (prefix + (i,), child)
             for prefix, node in level
-            for i, child in enumerate(node, start)
+            for i, child in enumerate(node)
         ]
     return level
 
@@ -324,7 +335,7 @@ def _listify(node):
 def _sorted_cells(m, entries):
     """The diagram cells of `entries`, sorted: by height, then index order."""
     cells = []
-    level = _leaves(entries, m, 0)
+    level = _leaves(entries, m)
     height = 0
     while level:
         cells.extend((height,) + base for base, _ in level)
@@ -438,8 +449,9 @@ def enumerate_partitions(m, n, max_cells=None):
 
 
 def count_partitions(m, n, max_cells=None):
-    """Number of m-dimensional partitions of n."""
-    return len(enumerate_partitions(m, n, max_cells=max_cells))
+    """Number of m-dimensional partitions of n, with no partition built."""
+    _check_guard(m, n, max_cells)
+    return len(_entry_trees(m, n))
 
 
 def _check_guard(m, n, max_cells):

@@ -23,18 +23,21 @@ from __future__ import annotations
 import itertools
 import json
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
 from .measures import measure_of
-from .partitions import _cell_action, apply_permutation, enumerate_partitions
+from .partitions import (
+    _cell_action,
+    _check_guard,
+    apply_permutation,
+    enumerate_partitions,
+)
 from .transport import (
     EUCLIDEAN,
-    L1,
+    POINT_COSTS,
     SQUARED_EUCLIDEAN,
-    l1_distance,
+    distance_of_total,
     optimal_total,
-    squared_distance,
     wasserstein,  # unused here; bench/test_bench.py pins this binding
 )
 
@@ -97,13 +100,13 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     n = len(src)
-    optimal = Fraction(optimal_total(src, dst, kind), n)
+    optimal = distance_of_total(optimal_total(src, dst, kind), n, kind)
     if dst == src:  # nothing moves: the candidate is the identity, at cost 0
         return HybridPlanResult(True, optimal, optimal, True, tuple(range(n)))
     # Every moved cell goes to its image, which always lies in dst.  The
     # candidate is a bijection when no image lands on a shared cell.
     dst_index = {cell: j for j, cell in enumerate(dst)}
-    distance = l1_distance if kind == L1 else squared_distance
+    distance = POINT_COSTS[kind]
     matching = []
     moved_cost = 0
     for cell in src:
@@ -115,7 +118,7 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
             moved_cost += distance(cell, image)
     if len(set(matching)) != n:
         return HybridPlanResult(False, None, optimal, False, None)
-    cost = Fraction(moved_cost, n)
+    cost = distance_of_total(moved_cost, n, kind)
     return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
 
 
@@ -175,11 +178,11 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
     # what json prints apart (True and 1, 0.0 and -0.0), and equal reprs
     # print alike
     templates = {}
+    if n_max >= 1:  # enumeration errors first; every n below n_max passes too
+        _check_guard(m, n_max, max_cells)
+        orbit_keys = _orbit_keys(m, sigmas)
     for n in range(1, n_max + 1):
-        partitions = enumerate_partitions(m, n, max_cells=max_cells)
-        if n == 1:  # after the first enumeration, whose errors come first
-            orbit_keys = _orbit_keys(m, sigmas)
-        for p in partitions:
+        for p in enumerate_partitions(m, n, max_cells=max_cells):
             entries = _dumps(p.entries)  # json writes tuples as arrays
             for i, key in enumerate(orbit_keys(measure_of(p))):
                 orbit = orbits.get(key)
@@ -302,10 +305,8 @@ def _cor_record(p, sigma, kind):
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     total = optimal_total(src, dst, kind)
-    if kind == EUCLIDEAN:
-        w_json = total / len(src)
-    else:
-        w_json = _frac_json(Fraction(total, len(src)))
+    w = distance_of_total(total, len(src), kind)
+    w_json = w if kind == EUCLIDEAN else _frac_json(w)
     # exact for "euclid" too: a float sum of square roots of non-negative
     # ints is 0 only when every term is
     w_zero = total == 0

@@ -61,6 +61,14 @@ def l1_distance(a, b):
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
+# the cost of moving one unit mass from point a to point b, per cost kind
+POINT_COSTS = {
+    SQUARED_EUCLIDEAN: squared_distance,
+    EUCLIDEAN: lambda a, b: math.sqrt(squared_distance(a, b)),
+    L1: l1_distance,
+}
+
+
 class CostMatrix(_Frozen):
     """Pairwise costs between a source and a target point list.
 
@@ -154,21 +162,6 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
 def _check_kind(kind):
     if kind not in COST_KINDS:
         raise ValueError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
-
-
-def integer_cost_matrix(values, kind=SQUARED_EUCLIDEAN):
-    """Wrap a plain integer matrix (generic problems and solver tests).
-
-    Every entry must be an int; floats, bools and anything else raise
-    ValueError rather than being rounded into a different problem, as
-    `CostMatrix` does.  Empty matrices and the "euclid" kind are refused.
-    """
-    if kind == EUCLIDEAN:
-        raise NonIntegerCostsError("an integer cost matrix needs an exact kind")
-    c = CostMatrix(kind, values)
-    if not c.values:
-        raise ShapeMismatchError("empty cost matrix")
-    return c
 
 
 AssignmentResult = namedtuple(
@@ -487,7 +480,7 @@ def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):
     """
     _check_transport_inputs(a, b)
     total = optimal_total(measure_of(a), measure_of(b), kind)
-    return total / a.n if kind == EUCLIDEAN else Fraction(total, a.n)
+    return distance_of_total(total, a.n, kind)
 
 
 def _check_transport_inputs(a, b):
@@ -498,22 +491,19 @@ def _check_transport_inputs(a, b):
     _check_assignment_size(a.n)
 
 
-def wasserstein_is_zero(a, b):
-    """Exact zero test for the distance, valid for every cost kind.
+def distance_of_total(total, n, kind):
+    """The cost of a plan of n unit masses whose matched total is `total`.
 
-    Every kind costs 0 only on coinciding points, so a plan costs 0 exactly
-    when it matches each cell to itself: the distance is zero under every
-    kind exactly when the two diagrams are equal.  No solve is needed.
+    Each matched pair carries mass 1/n, so the cost is the total over n: an
+    exact Fraction for the integer kinds and a float for "euclid".
     """
-    _check_transport_inputs(a, b)
-    return measure_of(a) == measure_of(b)
+    return total / n if kind == EUCLIDEAN else Fraction(total, n)
 
 
 def plan_cost(matching, c):
     """Transport cost of the plan that sends mass 1/n along each matched pair.
 
-    The matching total divided by n: an exact Fraction for integer kinds, a
-    float for "euclid".
+    The matching total divided by n, as `distance_of_total` gives it.
     """
     n = len(matching)
     if n != c.rows or n != c.cols:
@@ -521,9 +511,8 @@ def plan_cost(matching, c):
     if sorted(matching) != list(range(n)):
         raise ValueError(f"not a matching of {n} indices: {matching!r}")
     costs = [row[j] for row, j in zip(c.values, matching)]
-    if c.is_exact:
-        return Fraction(sum(costs), n)
-    return math.fsum(costs) / n
+    total = sum(costs) if c.is_exact else math.fsum(costs)
+    return distance_of_total(total, n, c.kind)
 
 
 def plan_to_json(matching, total):
@@ -565,14 +554,8 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
         raise InstanceTooLargeError(
             f"max_cycle={max_cycle} exceeds the guard {MONOTONE_MAX_CYCLE}"
         )
-    if kind == SQUARED_EUCLIDEAN:
-        cost = squared_distance
-    elif kind == L1:
-        cost = l1_distance
-    elif kind == EUCLIDEAN:
-        cost = lambda a, b: math.sqrt(squared_distance(a, b))
-    else:
-        raise ValueError(f"unknown cost kind {kind!r}")
+    _check_kind(kind)
+    cost = POINT_COSTS[kind]
     slack = _EUCLID_EPS if kind == EUCLIDEAN else 0
     for k in range(2, max_cycle + 1):
         for family in itertools.combinations(pair_list, k):

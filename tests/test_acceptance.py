@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 
 from partition_ot import (
+    CostMatrix,
     Permutation,
     all_permutations,
     count_partitions,
@@ -27,7 +28,6 @@ from partition_ot import (
     decompose,
     enumerate_partitions,
     hybrid_plan,
-    integer_cost_matrix,
     involutions,
     is_c_cyclically_monotone,
     is_self_symmetric,
@@ -243,8 +243,8 @@ def test_criterion_6_solver_equals_exhaustive_oracle():
             checked += 1
     rng = random.Random(0)
     for _ in range(100):
-        c = integer_cost_matrix(
-            [[rng.randrange(100) for _ in range(6)] for _ in range(6)]
+        c = CostMatrix(
+            "sq", [[rng.randrange(100) for _ in range(6)] for _ in range(6)]
         )
         assert solve_assignment(c).total == solve_bruteforce(c).total
         checked += 1

@@ -42,6 +42,15 @@ def test_enumerate_count(capsys):
     assert capsys.readouterr().out == "5\n"
 
 
+def test_enumerate_count_builds_no_partition(capsys, monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("built a partition's cells")
+
+    monkeypatch.setattr(partitions, "_sorted_cells", no_cells)
+    assert cli.main(["enumerate", "--m", "2", "--n", "6", "--count"]) == 0
+    assert capsys.readouterr().out == "48\n"
+
+
 def test_enumerate_listing(capsys):
     assert cli.main(["enumerate", "--m", "1", "--n", "1"]) == 0
     assert capsys.readouterr().out == '{"m":1,"entries":[1]}\n'
@@ -181,6 +190,14 @@ def test_partition_json_missing_a_key_exits_2(capsys, tmp_path, doc, key):
     assert captured.err == f"error: partition JSON has no '{key}' key\n"
 
 
+def test_partition_json_names_entries_of_the_wrong_type(capsys, tmp_path):
+    path = write_partition(tmp_path, "p.json", {"m": 1, "entries": 5})
+    assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: partition entries must be a nested tuple, got int\n"
+
+
 def test_symmetrize_rejects_non_object_document(capsys, tmp_path):
     path = write_partition(tmp_path, "array.json", [1, 2])
     assert cli.main(["symmetrize", path, "--sigma", "2 1"]) == 2
@@ -318,6 +335,43 @@ def test_wasserstein_assignment_guard(capsys, tmp_path):
     assert cli.main(["wasserstein", big, big]) == 2
     assert capsys.readouterr().err == (
         f"error: n={n} exceeds the assignment guard {ASSIGNMENT_MAX_N}\n"
+    )
+
+
+def test_wasserstein_above_the_assignment_guard_builds_no_cell(
+    capsys, monkeypatch, tmp_path
+):
+    # building these 1.6 million cells first took 5 s and 346 MiB
+    def no_cells(*args):
+        raise AssertionError("built the cells")
+
+    monkeypatch.setattr(partitions, "_sorted_cells", no_cells)
+    big = write_partition(tmp_path, "big.json", {"m": 1, "entries": [1_600_000]})
+    for flags in ([], ["--plan"]):
+        assert cli.main(["wasserstein", big, big, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n=1600000 exceeds the assignment guard {ASSIGNMENT_MAX_N}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wasserstein", "HUGE", "HUGE"],
+        ["symmetrize", "HUGE", "--sigma", "2 1"],
+        ["render", "HUGE"],
+    ],
+)
+def test_a_huge_part_is_refused_at_once(capsys, tmp_path, argv):
+    # unguarded, each allocated cells until the process was killed
+    huge = write_partition(tmp_path, "huge.json", {"m": 1, "entries": [10**12]})
+    start = time.perf_counter()
+    assert cli.main([huge if arg == "HUGE" else arg for arg in argv]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n={10**12} exceeds the cell guard {partitions._CELL_CAP}\n"
     )
 
 
@@ -463,6 +517,26 @@ def test_verify_rejects_nonpositive_n_max(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --n-max must be >= 1, got 0\n"
+
+
+def test_verify_checks_the_enumeration_guard_before_enumerating(capsys, monkeypatch):
+    from partition_ot import theorems, transport
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated or solved before the guard")
+
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    monkeypatch.setattr(partitions, "_entry_trees", refuse)
+    monkeypatch.setattr(transport, "_certified_solve", refuse)
+    argv = ["verify", "--theorem", "main", "--m", "2", "--n-max", "13",
+            "--sigma", "all"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n=13 exceeds the enumeration guard 12 for m=2; "
+        "raise the max-cells limit to override (see --max-cells)\n"
+    )
 
 
 def test_verify_guard(capsys):

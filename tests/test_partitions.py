@@ -88,11 +88,6 @@ def test_validate_rejects_bad_parts():
         validate_array([], 1)
 
 
-def test_items_are_one_based():
-    p = validate_array([[2, 1], [1]], 2)
-    assert dict(p.items()) == {(1, 1): 2, (1, 2): 1, (2, 1): 1}
-
-
 # ---------------------------------------------------------------------------
 # cell form
 
@@ -118,6 +113,32 @@ def test_from_cells_input_is_checked():
         from_cells([(0,)])
     with pytest.raises(NotDownSetError, match="at least one cell"):
         from_cells([])
+
+
+def test_entries_of_the_wrong_type_are_named():
+    with pytest.raises(NonPositiveEntryError, match="must be a nested tuple, got list"):
+        MultiPartition(1, [4, 2])
+    with pytest.raises(NonPositiveEntryError, match="must be a nested tuple, got int"):
+        from_json({"m": 1, "entries": 5})
+    with pytest.raises(NonPositiveEntryError, match="at least one positive part"):
+        validate_array([], 1)
+
+
+def test_cells_are_built_on_first_read_and_capped(monkeypatch):
+    cap = partitions._CELL_CAP
+
+    def no_cells(*args):
+        raise AssertionError("built the cells")
+
+    monkeypatch.setattr(partitions, "_sorted_cells", no_cells)
+    assert MultiPartition(1, (cap,)).n == cap  # no cell built yet
+    for entries in ((cap + 1,), (cap, 1), (10**12,)):
+        with pytest.raises(InstanceTooLargeError, match=f"exceeds the cell guard {cap}"):
+            MultiPartition(1, entries)
+    monkeypatch.undo()
+    p = validate_array([[2, 1], [1]], 2)
+    assert "cells" not in vars(p)
+    assert p.cells is measure_of(p) and vars(p)["cells"] is p.cells
 
 
 def test_cells_are_checked_only_where_they_enter(monkeypatch):
@@ -269,6 +290,19 @@ def test_default_guard_falls_with_m_and_admits_the_documented_sizes():
         assert n <= default_max_cells(m)
 
 
+def test_count_matches_the_enumeration_and_builds_no_partition(monkeypatch):
+    sizes = [(m, n) for m in range(1, 5) for n in range(1, 8)]
+    expected = [len(enumerate_partitions(m, n)) for m, n in sizes]
+
+    def no_cells(*args):
+        raise AssertionError("count_partitions built a partition's cells")
+
+    monkeypatch.setattr(partitions, "_sorted_cells", no_cells)
+    assert [count_partitions(m, n) for m, n in sizes] == expected
+    with pytest.raises(InstanceTooLargeError, match="enumeration guard"):
+        count_partitions(1, 13)
+
+
 def test_dimension_guard():
     with pytest.raises(InstanceTooLargeError, match="m=401 exceeds the dimension guard"):
         enumerate_partitions(MAX_DIMENSION + 1, 1)
@@ -288,6 +322,12 @@ def test_permutation_validation():
         Permutation.from_one_line("2 3")
     with pytest.raises(ValueError):
         Permutation.from_one_line("not a perm")
+
+
+def test_permutation_freezes_its_images():
+    sigma = Permutation([2, 1])
+    assert sigma.images == (2, 1) and type(sigma.images) is tuple
+    assert sigma == Permutation((2, 1)) and hash(sigma) == hash(Permutation((2, 1)))
 
 
 def test_permutation_group_laws():
@@ -424,9 +464,9 @@ def frozen(node):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), ragged_arrays(m))))
 def test_walks_follow_the_recursive_reference(case):
-    """items() and validate_array's walk visit the same (index, part) pairs
-    in the same order as a recursive walk, and the cell builder lists the
-    walk's cells in sorted order, valid partition or not."""
+    """validate_array's walk visits the same (index, part) pairs in the same
+    order as a recursive walk, and the cell builder lists the walk's cells
+    in sorted order, valid partition or not."""
     m, raw = case
     entries = frozen(raw)
     expected = list(walk_reference.walk(entries, (), m))
@@ -434,7 +474,6 @@ def test_walks_follow_the_recursive_reference(case):
     cells = partitions._sorted_cells(m, entries)
     assert cells == tuple(sorted(walk_reference.cells(entries, m)))
     p = MultiPartition._unchecked(m, entries, len(cells), cells)
-    assert list(p.items()) == expected
     real, walks = partitions._checked_leaves, []
 
     def recording(*args):

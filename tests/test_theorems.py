@@ -412,6 +412,26 @@ def test_sweep_guard():
         verify_theorem_main(m, 1, [Permutation.identity(m + 1)])
 
 
+def test_sweep_checks_the_enumeration_guard_at_n_max_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated or solved before the guard")
+
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    monkeypatch.setattr(transport, "_certified_solve", refuse)
+    for sweep in (verify_theorem_main, verify_theorem_cor):
+        with pytest.raises(InstanceTooLargeError, match="n=13 exceeds the enumeration"):
+            sweep(2, 13, involutions(3))
+        # no n to sweep: the empty report, with no guard to pass
+        assert sweep(2, 0, involutions(3)).summary["records"] == 0
+
+
+def test_a_sweep_takes_permutations_built_from_lists():
+    sigma = Permutation([2, 1])
+    assert verify_theorem_cor(1, 3, [sigma]).to_jsonl() == (
+        verify_theorem_cor(1, 3, [SWAP]).to_jsonl()
+    )
+
+
 def test_record_count_invariant():
     sigmas = all_permutations(3)
     report = verify_theorem_cor(2, 5, sigmas)

@@ -25,7 +25,6 @@ from partition_ot import (
     cost_matrix,
     enumerate_partitions,
     hybrid_plan,
-    integer_cost_matrix,
     is_c_cyclically_monotone,
     measure_of,
     optimal_total,
@@ -37,7 +36,6 @@ from partition_ot import (
     symmetrize,
     validate_array,
     wasserstein,
-    wasserstein_is_zero,
 )
 from partition_ot import transport
 
@@ -147,7 +145,7 @@ def test_cost_matrix_empty_sides_and_points(kind):
 
 
 def test_trivial_assignment():
-    res = solve_assignment(integer_cost_matrix([[0]]))
+    res = solve_assignment(CostMatrix("sq", [[0]]))
     assert res == ((0,), 0, ((0,), (0,)))
 
 
@@ -164,7 +162,7 @@ def test_trivial_assignment():
 def test_integer_cost_matrix_rejects_non_integer_entries(values, bad):
     # int() would turn 1.7 and True into 1 and solve a different problem
     with pytest.raises(ValueError, match=f"cost entry {bad} is not an integer"):
-        integer_cost_matrix(values)
+        CostMatrix("sq", values)
 
 
 @pytest.mark.parametrize("kind", ["sq", "l1"])
@@ -186,13 +184,11 @@ def test_cost_matrix_constructor_checks_and_freezes():
         CostMatrix("sq", ((0, 1), (1,)))
 
 
-def test_integer_cost_matrix_refuses_empty_ragged_and_euclid():
-    with pytest.raises(ShapeMismatchError, match="empty cost matrix"):
-        integer_cost_matrix([])
-    with pytest.raises(ShapeMismatchError, match="ragged cost matrix"):
-        integer_cost_matrix([[0, 1], [1]])
-    with pytest.raises(NonIntegerCostsError):
-        integer_cost_matrix([[0.5]], kind="euclid")
+def test_cost_matrix_admits_the_empty_and_int_euclid_matrices():
+    # the empty matching is the optimum at total 0
+    assert solve_assignment(CostMatrix("sq", [])) == ((), 0, ((), ()))
+    c = CostMatrix("euclid", [[0, 1], [1, 0]])
+    assert not c.is_exact and solve_assignment(c)[:2] == ((0, 1), 0.0)
 
 
 @pytest.mark.parametrize("kind", ["sq", "l1"])
@@ -206,7 +202,7 @@ def test_exact_costs_refuse_non_int_coordinates(kind):
 
 
 def test_integer_cost_matrix_keeps_integer_entries():
-    c = integer_cost_matrix([[-1, 2], (3, 10**30)])
+    c = CostMatrix("sq", [[-1, 2], (3, 10**30)])
     assert c.values == ((-1, 2), (3, 10**30))
 
 
@@ -214,7 +210,7 @@ def test_two_by_two_bruteforce_formula():
     rng = random.Random(7)
     for _ in range(50):
         a, b, c, d = (rng.randrange(30) for _ in range(4))
-        res = solve_bruteforce(integer_cost_matrix([[a, b], [c, d]]))
+        res = solve_bruteforce(CostMatrix("sq", [[a, b], [c, d]]))
         assert res.total == min(a + d, b + c)
 
 
@@ -242,31 +238,31 @@ def test_solver_agrees_on_seeded_random_matrices():
     rng = random.Random(0)
     for _ in range(100):
         values = [[rng.randrange(100) for _ in range(6)] for _ in range(6)]
-        c = integer_cost_matrix(values)
+        c = CostMatrix("sq", values)
         assert solve_assignment(c).total == solve_bruteforce(c).total
 
 
 def test_lexicographic_tie_break():
-    res = solve_assignment(integer_cost_matrix([[1, 1], [1, 1]]))
+    res = solve_assignment(CostMatrix("sq", [[1, 1], [1, 1]]))
     assert res.matching == (0, 1)
     # two equal-cost optima on the moved pair; lex order decides
-    res = solve_assignment(integer_cost_matrix([[5, 3, 9], [3, 5, 9], [9, 9, 0]]))
+    res = solve_assignment(CostMatrix("sq", [[5, 3, 9], [3, 5, 9], [9, 9, 0]]))
     assert res.matching == solve_bruteforce(
-        integer_cost_matrix([[5, 3, 9], [3, 5, 9], [9, 9, 0]])
+        CostMatrix("sq", [[5, 3, 9], [3, 5, 9], [9, 9, 0]])
     ).matching
 
 
 def test_not_square():
     with pytest.raises(NotSquareError):
-        solve_assignment(integer_cost_matrix([[1, 2, 3], [4, 5, 6]]))
+        solve_assignment(CostMatrix("sq", [[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(NotSquareError):
-        solve_bruteforce(integer_cost_matrix([[1, 2, 3], [4, 5, 6]]))
+        solve_bruteforce(CostMatrix("sq", [[1, 2, 3], [4, 5, 6]]))
 
 
 def test_bruteforce_guard():
     big = [[0] * 10 for _ in range(10)]
     with pytest.raises(InstanceTooLargeError):
-        solve_bruteforce(integer_cost_matrix(big))
+        solve_bruteforce(CostMatrix("sq", big))
 
 
 def test_euclid_solver_is_flagged_and_close():
@@ -304,7 +300,7 @@ def test_negative_costs():
         for hi in (-1, 0, 9)
     ]
     for values in matrices:
-        c = integer_cost_matrix(values)
+        c = CostMatrix("sq", values)
         with time_limit(10):
             res = solve_assignment(c)
         assert res[:2] == solve_bruteforce(c)[:2]
@@ -321,7 +317,7 @@ def test_negative_costs():
     )
 )
 def test_tie_heavy_matrices_match_bruteforce_lex_order(values):
-    c = integer_cost_matrix(values)
+    c = CostMatrix("sq", values)
     res = solve_assignment(c)
     assert res[:2] == solve_bruteforce(c)[:2]
     assert check_certificate(c, res)
@@ -346,7 +342,7 @@ def flat_reflection_costs(n, count, seed):
 def test_solver_agrees_with_perturbed_reference(n):
     rng = random.Random(n)
     matrices = flat_reflection_costs(n, 3, n) + [
-        integer_cost_matrix([[rng.randrange(k) for _ in range(n)] for _ in range(n)])
+        CostMatrix("sq", [[rng.randrange(k) for _ in range(n)] for _ in range(n)])
         for k in (1, 2, 3, 4)
     ]
     for c in matrices:
@@ -378,7 +374,7 @@ def test_certificate_rejects_corrupted_duals():
     ],
 )
 def test_solve_assignment_rejects_a_bad_dual(monkeypatch, duals, message):
-    c = integer_cost_matrix([[0, 1], [0, 1]])
+    c = CostMatrix("sq", [[0, 1], [0, 1]])
     monkeypatch.setattr(
         transport, "_shortest_augmenting_paths", lambda costs: ([0, 1], duals, [0, 0])
     )
@@ -398,7 +394,7 @@ def int_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(int_matrices())
 def test_certified_core_total_is_the_optimum(values):
-    c = integer_cost_matrix(values)
+    c = CostMatrix("sq", values)
     costs, res = transport._certified_solve(c)
     assert costs == c.values
     assert check_certificate(c, res)
@@ -446,7 +442,7 @@ def test_assignment_size_guard(monkeypatch):
         solve_transport(big, big)
     monkeypatch.setattr(transport, "ASSIGNMENT_MAX_N", 2)
     with pytest.raises(InstanceTooLargeError, match="n=3 exceeds the assignment guard 2"):
-        solve_assignment(integer_cost_matrix([[0] * 3] * 3))
+        solve_assignment(CostMatrix("sq", [[0] * 3] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -595,33 +591,32 @@ def test_wasserstein_symmetry_and_positivity():
 
 
 def test_wasserstein_is_zero_matches_support_equality():
+    # every kind costs 0 only on coinciding points
     for n in range(1, 6):
         for p in enumerate_partitions(2, n):
             for sigma in all_permutations(3):
                 sym = symmetrize(p, sigma)
-                assert wasserstein_is_zero(p, sym) == (p == sym)
+                for kind in ("sq", "l1", "euclid"):
+                    assert (wasserstein(p, sym, kind) == 0) == (p == sym)
 
 
 def test_wasserstein_is_zero_runs_no_solve(monkeypatch):
-    pairs = [
+    equal = [
         (p, symmetrize(p, sigma))
         for n in range(1, 6)
         for p in enumerate_partitions(2, n)
         for sigma in all_permutations(3)
+        if symmetrize(p, sigma) == p
     ]
-    expected = {
-        kind: [wasserstein(a, b, kind) == 0 for a, b in pairs]
-        for kind in ("sq", "l1", "euclid")
-    }
 
     def no_solve(c):
-        raise AssertionError("wasserstein_is_zero ran a solve")
+        raise AssertionError("a zero distance ran a solve")
 
     monkeypatch.setattr(transport, "_certified_solve", no_solve)
-    zero = [wasserstein_is_zero(a, b) for a, b in pairs]
-    assert any(zero) and not all(zero)
-    for kind, values in expected.items():
-        assert zero == values, kind
+    for kind in ("sq", "l1", "euclid"):
+        assert all(wasserstein(a, b, kind) == 0 for a, b in equal), kind
+    with pytest.raises(AssertionError, match="ran a solve"):
+        wasserstein(P42, P2211)
 
 
 def test_wasserstein_permutation_equivariance():
@@ -646,7 +641,7 @@ def test_plan_json_diagonal():
 
 def test_plan_cost_rejects_non_matching():
     with pytest.raises(ValueError):
-        plan_cost((0, 0), integer_cost_matrix([[0, 1], [1, 0]]))
+        plan_cost((0, 0), CostMatrix("sq", [[0, 1], [1, 0]]))
 
 
 def test_plan_cost_zero_on_identity():

@@ -26,7 +26,6 @@ from partition_ot import (
     SweepReport,
     decompose,
     hybrid_plan,
-    integer_cost_matrix,
     solve_assignment,
     validate_array,
     verify_theorem_cor,
@@ -60,7 +59,7 @@ VALUES = [
     ),
     (RenderSpec(), ("ascii", 24.0), "RenderSpec(format='ascii', cell_size=24.0)"),
     (
-        solve_assignment(integer_cost_matrix([[2, 1], [1, 3]])),
+        solve_assignment(CostMatrix("sq", [[2, 1], [1, 3]])),
         ((1, 0), 2, ((0, 0), (1, 1))),
         "AssignmentResult(matching=(1, 0), total=2, duals=((0, 0), (1, 1)))",
     ),
