@@ -12,6 +12,7 @@ package: no `dataclasses`, `inspect` or `typing`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -32,10 +33,10 @@ from .partitions import (
 )
 from .render import FORMATS, RenderSpec, render
 from .theorems import (
+    _check_sweep,
+    _sweep,
     check_sweep_size,
     format_summary,
-    verify_theorem_cor,
-    verify_theorem_main,
 )
 from .transport import (
     BRUTE_FORCE_MAX,
@@ -226,9 +227,11 @@ def cmd_verify(args):
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     check_sweep_size(args.m)  # before the named sigma sets list S_{m+1}
     sigmas = _sigma_set(args.sigma or ["all"], args.m + 1)
-    sweep = verify_theorem_main if args.theorem == "main" else verify_theorem_cor
-    report = sweep(args.m, args.n_max, sigmas, kind=args.cost, max_cells=args.max_cells)
-    _emit(report.to_jsonl(), args.out)
+    # every refusal before the output opens: a refused sweep writes nothing
+    _check_sweep(args.m, args.n_max, sigmas, args.max_cells)
+    with _output(args.out) as fh:  # each line goes out as the sweep makes it
+        report = _sweep(args.theorem, args.m, args.n_max, sigmas, args.cost,
+                        args.max_cells, fh.write)
     if args.out is not None:
         sys.stdout.write(format_summary(report))
     return EXIT_OK if report.violations == 0 else EXIT_VERIFY
@@ -280,11 +283,14 @@ def _compact(obj):
 
 
 def _emit(text, out):
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _output(out):
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        return contextlib.nullcontext(sys.stdout)  # as it is now: callers redirect it
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 if __name__ == "__main__":

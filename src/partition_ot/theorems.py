@@ -12,16 +12,17 @@ every permutation in a chosen set:
   is zero exactly when the diagram is setwise fixed by the permutation.
 
 Reports are deterministic: records appear in canonical enumeration order
-and serialize to byte-identical JSON lines across runs.  Each claim is
-computed and serialized once per symmetry orbit of instances under
-relabelling the axes, and the orbit's other record lines reuse it (see
-`_sweep`).
+and serialize to byte-identical JSON lines, handed out as they are made.
+Each claim is computed once per symmetry orbit of instances under
+relabelling the axes, with orbit state kept for one n, and one outcome
+table serializes each distinct result once for all its lines (`_sweep`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import namedtuple
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
@@ -45,6 +46,12 @@ from .transport import (
 # At m = 8 that is 362880 of them: a cor sweep of n = 1 under the identity
 # alone took 2.69 s and 172 MiB, with Python 3.11 on a shared 2-CPU VM.
 SWEEP_MAX_M = 7
+# The orbit keys' conjugate table holds (m + 1)! x |sigma set| tuples and
+# is built before anything is enumerated.  Measured at m <= 6, an entry
+# takes 1.3-1.8 us and 104 bytes, so this bound is about a minute and
+# 3.1 GiB: it admits m = 7 over the 764 involutions (3.1e7 entries) and
+# refuses m = 7 over all 40320 sigma (1.6e9).
+SWEEP_MAX_CONJUGATES = 32_000_000
 
 
 HybridPlanResult = namedtuple(
@@ -129,7 +136,7 @@ def verify_theorem_main(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None
     candidate is invalid or suboptimal; for non-involutive sigma the same
     conditions are tallied separately as findings.
     """
-    return _sweep("main", m, n_max, sigmas, kind, max_cells, _main_record, _main_counts)
+    return _sweep("main", m, n_max, sigmas, kind, max_cells)
 
 
 def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None):
@@ -141,7 +148,7 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
     root of an integer >= 1, so the float total is 0 only when every
     matched cost is.
     """
-    return _sweep("cor", m, n_max, sigmas, kind, max_cells, _cor_record, _cor_counts)
+    return _sweep("cor", m, n_max, sigmas, kind, max_cells)
 
 
 def check_sweep_size(m):
@@ -153,52 +160,74 @@ def check_sweep_size(m):
         )
 
 
-def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
+def _check_sweep(m, n_max, sigmas, max_cells):
+    """Raise what `_sweep` refuses, before it builds or writes anything."""
+    if n_max >= 1:  # enumeration errors first; every n below n_max passes too
+        _check_guard(m, n_max, max_cells)
+        _check_orbit_table(m, sigmas)
+
+
+def _check_orbit_table(m, sigmas):
+    """Refuse sigmas that cannot act on m + 1 axes, or too many conjugates."""
+    check_sweep_size(m)
+    conjugates = math.factorial(m + 1) * len(sigmas)
+    if conjugates > SWEEP_MAX_CONJUGATES:
+        raise InstanceTooLargeError(
+            f"m={m} with {len(sigmas)} sigmas needs {conjugates} orbit conjugates, "
+            f"above the sweep guard {SWEEP_MAX_CONJUGATES}"
+        )
+    for sigma in sigmas:
+        if sigma.size != m + 1:
+            raise SizeMismatchError(
+                f"permutation of size {sigma.size} cannot act on {m + 1} coordinates"
+            )
+
+
+def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
-    `record(p, sigma, kind)` returns the claim's fields for one instance;
-    `counts(weighted)` returns the claim's extra summary counts from
-    (fields, instances) pairs.
+    Hands `write` each record line as it is made, newline included, and the
+    summary line last.  Without `write` the report keeps its lines.
 
     Relabelling the m + 1 axes by any tau preserves every cost kind, so the
     instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
-    to a reordering of rows and columns, and the same claim fields.
-    `record` therefore runs once per orbit, on the orbit's first instance in
-    enumeration order, and the orbit's fields are serialized once into a
-    line template; every instance of the orbit fills in its own n,
-    partition and sigma.  Orbits with equal fields share one template.  The
-    summary counts each orbit's fields once per instance it holds.
+    to a reordering of rows and columns, and the same claim fields.  The
+    claim therefore runs once per orbit, on the orbit's first instance in
+    enumeration order.  An orbit lies in one n, so orbit state lives for one
+    n.  Each distinct outcome, the claim's fields, is serialized once into a
+    line template that its instances fill with their n, partition and
+    sigma; the summary is counted from the outcomes' instances per sigma.
     """
+    record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
+    _check_sweep(m, n_max, sigmas, max_cells)
+    lines = []  # kept only when no `write` is given
+    write = write or (lambda line: lines.append(line[:-1]))
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
-    lines = []
-    orbits = {}  # orbit key -> (line template, fields, instances per sigma)
-    # line template per repr of the fields' values: one sweep has one record
-    # function, so the names and their order are fixed; repr tells apart
-    # what json prints apart (True and 1, 0.0 and -0.0), and equal reprs
-    # print alike
-    templates = {}
-    if n_max >= 1:  # enumeration errors first; every n below n_max passes too
-        _check_guard(m, n_max, max_cells)
-        orbit_keys = _orbit_keys(m, sigmas)
+    # (line template, fields, instances per sigma) per repr of the fields'
+    # values: one sweep has one record function, so the names and their
+    # order are fixed; repr tells apart what json prints apart (True and 1,
+    # 0.0 and -0.0), and equal reprs print alike
+    outcomes = {}
+    keys = _orbit_keys(m, sigmas)
     for n in range(1, n_max + 1):
+        orbits = {}  # orbit key -> its outcome
         for p in enumerate_partitions(m, n, max_cells=max_cells):
             entries = _dumps(p.entries)  # json writes tuples as arrays
-            for i, key in enumerate(orbit_keys(measure_of(p))):
-                orbit = orbits.get(key)
-                if orbit is None:
+            for i, key in enumerate(keys(measure_of(p))):
+                outcome = orbits.get(key)
+                if outcome is None:
                     fields = record(p, sigmas[i], kind)
                     fkey = repr(tuple(fields.values()))
-                    template = templates.get(fkey)
-                    if template is None:
-                        template = templates[fkey] = _line_template(theorem, m, fields)
-                    orbit = orbits[key] = (template, fields, [0] * len(sigmas))
-                orbit[2][i] += 1
-                lines.append(orbit[0] % (n, entries, sigma_json[i]))
-    weighted = []  # (fields, instances) per orbit
+                    if fkey not in outcomes:
+                        template = _line_template(theorem, m, fields)
+                        outcomes[fkey] = (template, fields, [0] * len(sigmas))
+                    outcome = orbits[key] = outcomes[fkey]
+                outcome[2][i] += 1
+                write(outcome[0] % (n, entries, sigma_json[i]))
+    weighted = [(fields, sum(per_sigma)) for _, fields, per_sigma in outcomes.values()]
     sigma_counts = {s.images: [0, 0] for s in sigmas}
-    for _, fields, per_sigma in orbits.values():
-        weighted.append((fields, sum(per_sigma)))
+    for _, fields, per_sigma in outcomes.values():
         for sigma, k in zip(sigmas, per_sigma):
             tally = sigma_counts[sigma.images]
             tally[0] += k
@@ -209,13 +238,13 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, record, counts):
         "n_max": n_max,
         "kind": kind,
         "sigmas": [list(s.images) for s in sigmas],
-        "records": len(lines),
+        "records": sum(k for _, k in weighted),
         "violations": sum(k for fields, k in weighted if fields["violation"]),
         **counts(weighted),
     }
-    return SweepReport(
-        theorem, m, n_max, sigmas, kind, tuple(lines), summary, sigma_counts
-    )
+    write(_dumps(summary) + "\n")
+    lines = tuple(lines[:-1])  # the last is the summary
+    return SweepReport(theorem, m, n_max, sigmas, kind, lines, summary, sigma_counts)
 
 
 _SLOT = "\0"  # placeholder of a record line's per-instance fields
@@ -226,12 +255,12 @@ def _line_template(theorem, m, fields):
 
     The record is serialized once with a placeholder in each slot, and keys
     are sorted, so the slots come in that order and a filled template is
-    byte-identical to `_dumps` of the whole record.  The placeholder is a
-    NUL string, which no claim field holds.
+    byte-identical to `_dumps` of the whole record, plus a newline.  The
+    placeholder is a NUL string, which no claim field holds.
     """
     slots = dict.fromkeys(("n", "partition", "sigma"), _SLOT)
     text = _dumps({"theorem": theorem, "m": m, **slots, **fields})
-    return text.replace("%", "%%").replace(_dumps(_SLOT), "%s")
+    return text.replace("%", "%%").replace(_dumps(_SLOT), "%s") + "\n"
 
 
 def _orbit_keys(m, sigmas):
@@ -247,12 +276,7 @@ def _orbit_keys(m, sigmas):
     (p, sigma) is tau (r, tau^-1 sigma tau); its key is r with the least
     such conjugate over the tau that carry r to p.
     """
-    check_sweep_size(m)
-    for sigma in sigmas:
-        if sigma.size != m + 1:
-            raise SizeMismatchError(
-                f"permutation of size {sigma.size} cannot act on {m + 1} coordinates"
-            )
+    _check_orbit_table(m, sigmas)
     movers = []
     conjugates = []
     for tau in itertools.permutations(range(1, m + 2)):
@@ -263,18 +287,18 @@ def _orbit_keys(m, sigmas):
         conjugates.append(
             tuple(tuple(inv[s.images[k - 1] - 1] + 1 for k in tau) for s in sigmas)
         )
-    known = {}  # measure of every partition met so far -> its keys
+    known = {}  # partitions not met yet (each is met once) -> (r, least conjugates)
 
     def keys(src):
-        found = known.get(src)
+        found = known.pop(src, None)
         if found is None:
             cosets = {}
             for move, conj in zip(movers, conjugates):
                 cosets.setdefault(tuple(sorted(map(move, src))), []).append(conj)
             for image, coset in cosets.items():
-                known[image] = [(src, min(conj)) for conj in zip(*coset)]
-            found = known[src]
-        return found
+                known[image] = (src, tuple(map(min, zip(*coset))))
+            found = known.pop(src)
+        return [(found[0], conj) for conj in found[1]]
 
     return keys
 
@@ -347,3 +371,5 @@ def _frac_json(value):
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")), its encoder built once
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_CLAIMS = {"main": (_main_record, _main_counts), "cor": (_cor_record, _cor_counts)}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -564,6 +565,63 @@ def test_verify_at_the_sweep_guard(capsys):
     assert cli.main(argv) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (summary["records"], summary["violations"]) == (9, 0)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "8", "--n-max", "1", "--sigma", "identity"],
+         "m=8 exceeds the sweep guard 7: orbits need all (m + 1)! axis relabellings"),
+        (["--m", "7", "--n-max", "1"],
+         "m=7 with 40320 sigmas needs 1625702400 orbit conjugates, "
+         "above the sweep guard 32000000"),
+        (["--m", "2", "--n-max", "3", "--sigma", "2 1"],
+         "permutation of size 2 cannot act on 3 coordinates"),
+        (["--m", "2", "--n-max", "13"],
+         "n=13 exceeds the enumeration guard 12 for m=2; "
+         "raise the max-cells limit to override (see --max-cells)"),
+        (["--m", "2", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+    ],
+    ids=["sweep-size", "orbit-table", "sigma-size", "enumeration", "n-max"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_refused_sweep_writes_nothing(capsys, tmp_path, monkeypatch, argv, message,
+                                        to_file):
+    from partition_ot import theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an orbit table entry or a partition")
+
+    # the named sigma sets are listed first; the table and the sweep never start
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    out = tmp_path / "report.jsonl"
+    extra = ["--out", str(out)] if to_file else []
+    assert cli.main(["verify", "--theorem", "cor", *argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_streamed_sweep_holds_far_less_than_its_report(capsys, tmp_path):
+    # the lines go to the file as they are made: the sweep holds one n's
+    # orbit state and the distinct outcomes, never the report
+    out = tmp_path / "report.jsonl"
+    argv = ["verify", "--theorem", "cor", "--m", "4", "--n-max", "6", "--sigma", "all",
+            "--cost", "l1", "--out", str(out)]
+    cli.main(["verify", "--theorem", "cor", "--m", "1", "--n-max", "1"])  # warm up
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out.stat().st_size
+    assert size > 9_000_000
+    assert peak < size / 2
 
 
 # ---------------------------------------------------------------------------

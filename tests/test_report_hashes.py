@@ -16,10 +16,12 @@ import pytest
 
 from partition_ot import (
     all_permutations,
+    cli,
     cost_matrix,
     enumerate_partitions,
     involutions,
     measure_of,
+    theorems,
     solve_assignment,
     symmetrize,
     to_json,
@@ -59,6 +61,31 @@ def test_report_bytes_are_pinned(theorem, m, n_max, sigmas, kind, digest):
     report = SWEEPS[theorem](m, n_max, SIGMA_SETS[sigmas](m + 1), kind=kind)
     text = report.to_jsonl()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "theorem, m, n_max, sigmas, kind, digest",
+    CASES,
+    ids=[f"{t}-m{m}-n{n}-{s}-{k}" for t, m, n, s, k, _ in CASES],
+)
+def test_verify_streams_the_pinned_bytes(capsys, tmp_path, monkeypatch, theorem, m,
+                                         n_max, sigmas, kind, digest):
+    # the command writes each line as the sweep makes it: it never joins
+    # or encodes the whole report
+    def refuse(*args):
+        raise AssertionError("the whole report was built")
+
+    monkeypatch.setattr(theorems.SweepReport, "to_jsonl", refuse)
+    monkeypatch.setattr(cli, "_emit", refuse)
+    argv = ["verify", "--theorem", theorem, "--m", str(m), "--n-max", str(n_max),
+            "--sigma", sigmas, "--cost", kind]
+    code = cli.main(argv)
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert code == (3 if json.loads(text.splitlines()[-1])["violations"] else 0)
+    out = tmp_path / "report.jsonl"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # main, m = 2, n <= 6, involutions, "sq".  At n <= 5 the solver's first

@@ -1,4 +1,6 @@
+import inspect
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -240,6 +242,16 @@ def test_orbit_keys_differ_across_orbits(instance, data):
     assert (keys(measure_of(p))[0] == keys(measure_of(q))[1]) == same_orbit
 
 
+def test_orbit_keys_hold_nothing_once_a_layer_is_met():
+    # an orbit lies in one n, so the key state lives for one n
+    keys = theorems._orbit_keys(2, all_permutations(3))
+    known = inspect.getclosurevars(keys).nonlocals["known"]
+    for n in range(1, 8):
+        for p in enumerate_partitions(2, n):
+            keys(measure_of(p))
+        assert known == {}
+
+
 @pytest.mark.parametrize(
     "sweep, m, n_max, sigmas, kind",
     [
@@ -345,7 +357,7 @@ def test_report_records_match_the_uncached_sweep():
     assert any(isinstance(r["w"], float) and r["w"] > 0 for r in report.records)
 
 
-def test_orbits_share_a_line_template_only_when_fields_print_alike():
+def test_orbits_share_a_line_template_only_when_fields_print_alike(monkeypatch):
     # orbit-invariant fields whose values compare equal but print apart
     def record(p, sigma, kind):
         src = measure_of(p)
@@ -356,8 +368,8 @@ def test_orbits_share_a_line_template_only_when_fields_print_alike():
             x = [1, 2] if self_conjugate else [1, 2.0]
         return {"violation": False, "x": x}
 
-    report = theorems._sweep("t", 1, 4, [Permutation.identity(2)], "sq", None,
-                             record, lambda weighted: {})
+    monkeypatch.setitem(theorems._CLAIMS, "t", (record, lambda weighted: {}))
+    report = theorems._sweep("t", 1, 4, [Permutation.identity(2)], "sq", None)
     assert len(report.lines) == 1 + 2 + 3 + 5
     for line in report.lines:
         rec = json.loads(line)
@@ -410,6 +422,31 @@ def test_sweep_guard():
     m = SWEEP_MAX_M + 1
     with pytest.raises(InstanceTooLargeError, match="m=8 exceeds the sweep guard 7"):
         verify_theorem_main(m, 1, [Permutation.identity(m + 1)])
+
+
+def test_the_orbit_table_guard_refuses_before_any_entry(monkeypatch):
+    from partition_ot import partitions
+
+    sigmas = all_permutations(8)
+
+    def refuse(*args):
+        raise AssertionError("built an orbit table entry")
+
+    monkeypatch.setattr(partitions, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    message = "m=7 with 40320 sigmas needs 1625702400 orbit conjugates"
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError, match=message):
+        theorems._orbit_keys(7, sigmas)
+    with pytest.raises(InstanceTooLargeError, match=message):
+        verify_theorem_main(7, 1, sigmas)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_orbit_table_guard_admits_the_m7_involution_sweeps():
+    sigmas = involutions(8)
+    assert len(sigmas) * 40320 <= theorems.SWEEP_MAX_CONJUGATES
+    theorems._check_orbit_table(7, sigmas)  # checked, not built
 
 
 def test_sweep_checks_the_enumeration_guard_at_n_max_first(monkeypatch):
