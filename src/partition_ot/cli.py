@@ -276,6 +276,8 @@ def _read_partition(path):
         return from_json(doc)
     except RecursionError:
         raise ValueError(f"{path}: partition JSON is nested too deeply") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # name the input
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _compact(obj):

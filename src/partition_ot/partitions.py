@@ -181,21 +181,6 @@ class Permutation(_Frozen):
     def one_line(self):
         return " ".join(str(i) for i in self.images)
 
-    def compose(self, other):
-        """self after other: k goes to images[other.images[k - 1] - 1]."""
-        return Permutation(
-            tuple(self.images[other.images[k] - 1] for k in range(self.size))
-        )
-
-    def inverse(self):
-        inv = [0] * self.size
-        for k, img in enumerate(self.images, start=1):
-            inv[img - 1] = k
-        return Permutation(tuple(inv))
-
-    def is_identity(self):
-        return all(img == k for k, img in enumerate(self.images, start=1))
-
     def is_involution(self):
         return all(self.images[img - 1] == k for k, img in enumerate(self.images, 1))
 

@@ -12,7 +12,8 @@ every permutation in a chosen set:
   is zero exactly when the diagram is setwise fixed by the permutation.
 
 Reports are deterministic: records appear in canonical enumeration order
-and serialize to byte-identical JSON lines, handed out as they are made.
+and serialize to byte-identical JSON lines, handed out a partition at a
+time.
 Each claim is computed once per symmetry orbit of instances under
 relabelling the axes, with orbit state kept for one n, and one outcome
 table serializes each distinct result once for all its lines (`_sweep`).
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import namedtuple
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
@@ -46,10 +48,10 @@ from .transport import (
 # At m = 8 that is 362880 of them: a cor sweep of n = 1 under the identity
 # alone took 2.69 s and 172 MiB, with Python 3.11 on a shared 2-CPU VM.
 SWEEP_MAX_M = 7
-# The orbit keys' conjugate table holds (m + 1)! x |sigma set| tuples and
-# is built before anything is enumerated.  Measured at m <= 6, an entry
-# takes 1.3-1.8 us and 104 bytes, so this bound is about a minute and
-# 3.1 GiB: it admits m = 7 over the 764 involutions (3.1e7 entries) and
+# The orbit keys' conjugate table holds (m + 1)! x |sigma set| small ints
+# and is built before anything is enumerated.  Measured at m <= 6, an entry
+# takes 0.5-1.0 us and about 9 bytes, so this bound is about half a minute
+# and 0.3 GiB: it admits m = 7 over the 764 involutions (3.1e7 entries) and
 # refuses m = 7 over all 40320 sigma (1.6e9).
 SWEEP_MAX_CONJUGATES = 32_000_000
 
@@ -186,23 +188,25 @@ def _check_orbit_table(m, sigmas):
 def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
-    Hands `write` each record line as it is made, newline included, and the
-    summary line last.  Without `write` the report keeps its lines.
+    Hands `write` one string per partition, its record lines as they are
+    made, each ending in a newline, and the summary line last.  Without
+    `write` the report keeps one line per record.
 
     Relabelling the m + 1 axes by any tau preserves every cost kind, so the
     instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
     to a reordering of rows and columns, and the same claim fields.  The
     claim therefore runs once per orbit, on the orbit's first instance in
-    enumeration order.  An orbit lies in one n, so orbit state lives for one
-    n.  Each distinct outcome, the claim's fields, is serialized once into a
-    line template that its instances fill with their n, partition and
-    sigma; the summary is counted from the outcomes' instances per sigma.
+    enumeration order; an orbit's key is one int (`_orbit_keys`).  An orbit
+    lies in one n, so orbit state lives for one n.  Each distinct outcome,
+    the claim's fields, is serialized once into a line template that its
+    instances fill with their n, partition and sigma; the summary is
+    counted from the outcomes' instances per sigma.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
     _check_sweep(m, n_max, sigmas, max_cells)
     lines = []  # kept only when no `write` is given
-    write = write or (lambda line: lines.append(line[:-1]))
+    write = write or (lambda text: lines.extend(text.split("\n")[:-1]))
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
     # (line template, fields, instances per sigma) per repr of the fields'
     # values: one sweep has one record function, so the names and their
@@ -212,8 +216,10 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     keys = _orbit_keys(m, sigmas)
     for n in range(1, n_max + 1):
         orbits = {}  # orbit key -> its outcome
+        n_json = str(n)
         for p in enumerate_partitions(m, n, max_cells=max_cells):
             entries = _dumps(p.entries)  # json writes tuples as arrays
+            batch = []
             for i, key in enumerate(keys(measure_of(p))):
                 outcome = orbits.get(key)
                 if outcome is None:
@@ -224,7 +230,9 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
                         outcomes[fkey] = (template, fields, [0] * len(sigmas))
                     outcome = orbits[key] = outcomes[fkey]
                 outcome[2][i] += 1
-                write(outcome[0] % (n, entries, sigma_json[i]))
+                head, mid1, mid2, tail = outcome[0]  # around n, partition, sigma
+                batch += head, n_json, mid1, entries, mid2, sigma_json[i], tail
+            write("".join(batch))
     weighted = [(fields, sum(per_sigma)) for _, fields, per_sigma in outcomes.values()]
     sigma_counts = {s.images: [0, 0] for s in sigmas}
     for _, fields, per_sigma in outcomes.values():
@@ -251,54 +259,90 @@ _SLOT = "\0"  # placeholder of a record line's per-instance fields
 
 
 def _line_template(theorem, m, fields):
-    """%-format template of a record line; n, partition, sigma fill it.
+    """The four pieces of a record line around its n, partition and sigma.
 
     The record is serialized once with a placeholder in each slot, and keys
-    are sorted, so the slots come in that order and a filled template is
-    byte-identical to `_dumps` of the whole record, plus a newline.  The
-    placeholder is a NUL string, which no claim field holds.
+    are sorted, so the slots come in that order, and the pieces joined with
+    n, partition and sigma between them are byte-identical to `_dumps` of
+    the whole record, plus a newline.  The placeholder is a NUL string,
+    which no claim field holds.
     """
     slots = dict.fromkeys(("n", "partition", "sigma"), _SLOT)
     text = _dumps({"theorem": theorem, "m": m, **slots, **fields})
-    return text.replace("%", "%%").replace(_dumps(_SLOT), "%s") + "\n"
+    return tuple((text + "\n").split(_dumps(_SLOT)))
 
 
 def _orbit_keys(m, sigmas):
     """Orbit keys of the (p, sigma) instances, one per sigma in `sigmas`.
 
-    Returns `keys(src)`, which maps the measure of p to one key per sigma.
-    Two instances get equal keys exactly when some tau in S_{m+1} carries
-    one to the other: (p, sigma) -> (tau p, tau sigma tau^-1).
+    Returns `keys(src)`, which maps the measure of p to one int key per
+    sigma.  Two instances of one n get equal keys exactly when some tau in
+    S_{m+1} carries one to the other: (p, sigma) -> (tau p, tau sigma tau^-1).
 
-    The first partition that `keys` meets from an orbit of partitions is
-    that orbit's representative r, and its tau-images are recorded then,
-    so each later member p = tau r costs one lookup.  The instance
-    (p, sigma) is tau (r, tau^-1 sigma tau); its key is r with the least
-    such conjugate over the tau that carry r to p.
+    Each distinct conjugate tau^-1 sigma tau is numbered once, so the table
+    holds one small int per (tau, sigma).  The first partition that `keys`
+    meets from an orbit of partitions is that orbit's representative r; it
+    is numbered, and its tau-images are recorded then, so each later member
+    p = tau r costs one lookup.  The instance (p, sigma) is
+    tau (r, tau^-1 sigma tau); its key is r's number with the least such
+    conjugate number over the tau that carry r to p.  A numbering is
+    canonical whatever its order, because the set of those conjugates
+    depends only on the instance's orbit.  A partition met again gets the
+    keys it got first.  State is kept for one n, the last one met: an orbit
+    lies in one n.
     """
     _check_orbit_table(m, sigmas)
     movers = []
     conjugates = []
+    numbers = {}  # a conjugate's one-line images -> its number
+    # one-line images behind a 0, so that every itemgetter below reads two
+    # items or more and returns a tuple
+    padded = [(0, *s.images) for s in sigmas]
     for tau in itertools.permutations(range(1, m + 2)):
         # one-line images: tau sends axis k to axis tau[k - 1]; `inv[j]` is
         # the axis, counted from 0, that lands on axis j + 1
         inv = sorted(range(m + 1), key=tau.__getitem__)
         movers.append(_cell_action(tau))
-        conjugates.append(
-            tuple(tuple(inv[s.images[k - 1] - 1] + 1 for k in tau) for s in sigmas)
-        )
-    known = {}  # partitions not met yet (each is met once) -> (r, least conjugates)
+        after_tau = operator.itemgetter(0, *tau)  # sigma tau
+        tau_back = (0, *(j + 1 for j in inv))  # then tau^-1
+        conjugates.append(tuple(
+            numbers.setdefault(
+                operator.itemgetter(*after_tau(s))(tau_back), len(numbers)
+            )
+            for s in padded
+        ))
+    width = len(numbers)
+    reps = {}  # this n's representatives -> their numbers
+    known = {}  # this n's partitions not met yet -> their keys
+    n = None
+
+    def cosets(src):
+        """Each tau-image of src -> the conjugate rows of the tau giving it."""
+        found = {}
+        for move, conj in zip(movers, conjugates):
+            found.setdefault(tuple(sorted(map(move, src))), []).append(conj)
+        return found
 
     def keys(src):
+        nonlocal n
         found = known.pop(src, None)
         if found is None:
-            cosets = {}
-            for move, conj in zip(movers, conjugates):
-                cosets.setdefault(tuple(sorted(map(move, src))), []).append(conj)
-            for image, coset in cosets.items():
-                known[image] = (src, tuple(map(min, zip(*coset))))
+            if len(src) != n:
+                n = len(src)
+                reps.clear()
+                known.clear()
+            images = cosets(src)
+            # a sweep meets each partition once; one met again is keyed
+            # from its orbit's representative, as it was the first time
+            rep = next(filter(reps.__contains__, images), src)
+            if rep is not src:
+                images = cosets(rep)
+            base = reps.setdefault(rep, len(reps)) * width
+            for image, coset in images.items():
+                least = coset[0] if len(coset) == 1 else map(min, *coset)
+                known[image] = [base + c for c in least]
             found = known.pop(src)
-        return [(found[0], conj) for conj in found[1]]
+        return found
 
     return keys
 

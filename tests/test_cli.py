@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import time
 import tracemalloc
@@ -232,6 +233,33 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: partition JSON is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"m": 1,\n', "Expecting property name enclosed in double quotes: "
+                        "line 2 column 1 (char 9)"),
+        (b'\xff{"m": 1, "entries": [1]}', "'utf-8' codec can't decode byte 0xff "
+                                          "in position 0: invalid start byte"),
+    ],
+    ids=["syntax", "encoding"],
+)
+def test_unreadable_json_names_its_file(capsys, tmp_path, p42, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert cli.main(["wasserstein", p42, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_empty_stdin_is_named_as_dash(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert cli.main(["symmetrize", "-", "--sigma", "2 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: -: Expecting value: line 1 column 1 (char 0)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ def test_report_bytes_are_pinned(theorem, m, n_max, sigmas, kind, digest):
 )
 def test_verify_streams_the_pinned_bytes(capsys, tmp_path, monkeypatch, theorem, m,
                                          n_max, sigmas, kind, digest):
-    # the command writes each line as the sweep makes it: it never joins
-    # or encodes the whole report
+    # the command writes each partition's lines as the sweep makes them:
+    # it never joins or encodes the whole report
     def refuse(*args):
         raise AssertionError("the whole report was built")
 

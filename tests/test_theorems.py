@@ -1,6 +1,7 @@
 import inspect
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from partition_ot import (
 )
 from partition_ot import theorems, transport
 
+from group_reference import compose, inverse
 from uncached_sweep import uncached_sweep
 
 SWAP = Permutation.from_one_line("2 1")
@@ -182,7 +184,7 @@ def test_cor_sweep_identity_only():
 
 
 def _conjugate(tau, sigma):
-    return tau.compose(sigma).compose(tau.inverse())
+    return compose(compose(tau, sigma), inverse(tau))
 
 
 def _orbits(m, n_max, sigmas):
@@ -250,6 +252,56 @@ def test_orbit_keys_hold_nothing_once_a_layer_is_met():
         for p in enumerate_partitions(2, n):
             keys(measure_of(p))
         assert known == {}
+
+
+def test_orbit_keys_number_the_representatives_of_one_layer_only():
+    keys = theorems._orbit_keys(2, all_permutations(3))
+    reps = inspect.getclosurevars(keys).nonlocals["reps"]
+    for n in range(1, 8):
+        first, *rest = (measure_of(p) for p in enumerate_partitions(2, n))
+        keys(first)
+        assert list(reps) == [first]  # layer n - 1's numbering is gone
+        for src in rest:
+            keys(src)
+        assert all(len(rep) == n for rep in reps)
+
+
+def test_orbit_keys_of_a_partition_met_twice_are_its_first_keys():
+    keys = theorems._orbit_keys(3, involutions(4))
+    for n in range(1, 7):
+        layer = [measure_of(p) for p in enumerate_partitions(3, n)]
+        first = [keys(src) for src in layer]
+        # each again, last first: most were never representatives
+        assert [keys(src) for src in reversed(layer)] == first[::-1]
+
+
+def test_the_orbit_table_holds_small_ints():
+    # about 9 bytes per (tau, sigma) entry; one tuple per entry, as before
+    # the int table, peaked at 50 MB here
+    sigmas = all_permutations(6)
+    tracemalloc.start()
+    try:
+        theorems._orbit_keys(5, sigmas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_a_sweep_writes_once_per_partition():
+    calls = []
+    sigmas = all_permutations(3)
+    report = theorems._sweep("cor", 2, 5, sigmas, "l1", None, calls.append)
+    partitions = [p for n in range(1, 6) for p in enumerate_partitions(2, n)]
+    assert len(calls) == len(partitions) + 1  # the summary comes last
+    for p, text in zip(partitions, calls):
+        records = [json.loads(line) for line in text.splitlines()]
+        assert len(records) == len(sigmas)
+        assert {tuple(map(tuple, r["partition"])) for r in records} == {p.entries}
+    unwritten = theorems._sweep("cor", 2, 5, sigmas, "l1", None)
+    assert "".join(calls) == unwritten.to_jsonl()
+    assert len(unwritten.lines) == len(partitions) * len(sigmas)
+    assert report.summary == unwritten.summary and report.lines == ()
 
 
 @pytest.mark.parametrize(
