@@ -228,7 +228,7 @@ def cmd_verify(args):
     check_sweep_size(args.m)  # before the named sigma sets list S_{m+1}
     sigmas = _sigma_set(args.sigma or ["all"], args.m + 1)
     # every refusal before the output opens: a refused sweep writes nothing
-    _check_sweep(args.m, args.n_max, sigmas, args.max_cells)
+    _check_sweep(args.theorem, args.m, args.n_max, sigmas, args.cost, args.max_cells)
     with _output(args.out) as fh:  # each line goes out as the sweep makes it
         report = _sweep(args.theorem, args.m, args.n_max, sigmas, args.cost,
                         args.max_cells, fh.write)
@@ -268,8 +268,8 @@ def _sigma_set(names, size):
 
 def _read_partition(path):
     try:
-        if path == "-":
-            doc = json.load(sys.stdin)
+        if path == "-":  # strict UTF-8, as files are opened, whatever the locale
+            doc = json.loads(sys.stdin.buffer.read().decode("utf-8"))
         else:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)

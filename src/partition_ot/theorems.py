@@ -17,6 +17,8 @@ time.
 Each claim is computed once per symmetry orbit of instances under
 relabelling the axes, with orbit state kept for one n, and one outcome
 table serializes each distinct result once for all its lines (`_sweep`).
+Each n also builds one cost table over its partitions' cells, and every
+solve of that n looks its matrix up there.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .transport import (
     EUCLIDEAN,
     POINT_COSTS,
     SQUARED_EUCLIDEAN,
+    _cost_table,
     distance_of_total,
     optimal_total,
     wasserstein,  # unused here; bench/test_bench.py pins this binding
@@ -92,7 +95,7 @@ class SweepReport(namedtuple("SweepReport", _SWEEP_FIELDS)):
         return "\n".join((*self.lines, _dumps(self.summary))) + "\n"
 
 
-def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
+def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
     """Build the candidate matching and compare its cost to the optimum.
 
     The candidate fixes every cell shared between p and its permuted image
@@ -101,15 +104,15 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
 
-    The optimum comes from `optimal_total`, and the candidate is costed over
-    its moved cells only, because every shared cell stays put at cost 0.
+    The optimum comes from `optimal_total`, from the cost table `costs` when
+    one is given, and the candidate is costed over its moved cells only,
+    because every shared cell stays put at cost 0.
     """
-    if kind == EUCLIDEAN:
-        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
+    _check_hybrid_kind(kind)
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     n = len(src)
-    optimal = distance_of_total(optimal_total(src, dst, kind), n, kind)
+    optimal = distance_of_total(optimal_total(src, dst, kind, costs), n, kind)
     if dst == src:  # nothing moves: the candidate is the identity, at cost 0
         return HybridPlanResult(True, optimal, optimal, True, tuple(range(n)))
     # Every moved cell goes to its image, which always lies in dst.  The
@@ -129,6 +132,11 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
         return HybridPlanResult(False, None, optimal, False, None)
     cost = distance_of_total(moved_cost, n, kind)
     return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
+
+
+def _check_hybrid_kind(kind):
+    if kind == EUCLIDEAN:
+        raise NonIntegerCostsError("hybrid comparison needs an exact cost kind")
 
 
 def verify_theorem_main(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None):
@@ -162,8 +170,10 @@ def check_sweep_size(m):
         )
 
 
-def _check_sweep(m, n_max, sigmas, max_cells):
+def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     """Raise what `_sweep` refuses, before it builds or writes anything."""
+    if theorem == "main":
+        _check_hybrid_kind(kind)
     if n_max >= 1:  # enumeration errors first; every n below n_max passes too
         _check_guard(m, n_max, max_cells)
         _check_orbit_table(m, sigmas)
@@ -197,14 +207,17 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     to a reordering of rows and columns, and the same claim fields.  The
     claim therefore runs once per orbit, on the orbit's first instance in
     enumeration order; an orbit's key is one int (`_orbit_keys`).  An orbit
-    lies in one n, so orbit state lives for one n.  Each distinct outcome,
-    the claim's fields, is serialized once into a line template that its
-    instances fill with their n, partition and sigma; the summary is
-    counted from the outcomes' instances per sigma.
+    lies in one n, so orbit state lives for one n.  So does the cost table
+    that the claim's solves look their matrices up in: the cells of every
+    instance of n lie in the union of n's partitions' cells, a set that
+    every sigma maps onto itself, so one `_cost_table` over it serves them
+    all.  Each distinct outcome, the claim's fields, is serialized once into
+    a line template that its instances fill with their n, partition and
+    sigma; the summary is counted from the outcomes' instances per sigma.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
-    _check_sweep(m, n_max, sigmas, max_cells)
+    _check_sweep(theorem, m, n_max, sigmas, kind, max_cells)
     lines = []  # kept only when no `write` is given
     write = write or (lambda text: lines.extend(text.split("\n")[:-1]))
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
@@ -217,13 +230,15 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     for n in range(1, n_max + 1):
         orbits = {}  # orbit key -> its outcome
         n_json = str(n)
-        for p in enumerate_partitions(m, n, max_cells=max_cells):
+        parts = enumerate_partitions(m, n, max_cells=max_cells)
+        costs = _cost_table(sorted({x for p in parts for x in p.cells}), kind)
+        for p in parts:
             entries = _dumps(p.entries)  # json writes tuples as arrays
             batch = []
             for i, key in enumerate(keys(measure_of(p))):
                 outcome = orbits.get(key)
                 if outcome is None:
-                    fields = record(p, sigmas[i], kind)
+                    fields = record(p, sigmas[i], kind, costs)
                     fkey = repr(tuple(fields.values()))
                     if fkey not in outcomes:
                         template = _line_template(theorem, m, fields)
@@ -347,8 +362,8 @@ def _orbit_keys(m, sigmas):
     return keys
 
 
-def _main_record(p, sigma, kind):
-    res = hybrid_plan(p, sigma, kind)
+def _main_record(p, sigma, kind, costs=None):
+    res = hybrid_plan(p, sigma, kind, costs)
     involution = sigma.is_involution()
     return {
         "involution": involution,
@@ -369,10 +384,10 @@ def _main_counts(weighted):
     return {"noninvolutive_findings": findings}
 
 
-def _cor_record(p, sigma, kind):
+def _cor_record(p, sigma, kind, costs=None):
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
-    total = optimal_total(src, dst, kind)
+    total = optimal_total(src, dst, kind, costs)
     w = distance_of_total(total, len(src), kind)
     w_json = w if kind == EUCLIDEAN else _frac_json(w)
     # exact for "euclid" too: a float sum of square roots of non-negative

@@ -14,7 +14,10 @@ dual certifies optimality in O(n^2) and fixes the lex-smallest optimum.
 Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 `wasserstein`) then skip the lex step, as every optimum has their total.
 Cost entries are type-checked once, when a `CostMatrix` is built, and no
-solve scans them again.
+solve scans them again.  A caller that solves many small problems over one
+point set, such as a sweep layer, builds that set's costs once
+(`_cost_table`) and hands the table to `optimal_total`, which then looks
+each matrix up instead of building it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, getitem, sub
+from operator import add, getitem, itemgetter, sub
 
 from .errors import (
     DimensionMismatchError,
@@ -157,6 +160,27 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
             kind, tuple(tuple(map(math.sqrt, row)) for row in rows)
         )
     return CostMatrix._unchecked(kind, tuple(rows))
+
+
+def _cost_table(points, kind):
+    """A cost source that looks matrices up instead of building them.
+
+    The costs between all of `points` are built once, by `cost_matrix`.
+    `costs(src, dst)` then returns `cost_matrix(src, dst, kind)` for any
+    src and dst drawn from `points`, entry for entry: one looked-up row per
+    source point, cut to the target columns.
+    """
+    rows = cost_matrix(points, points, kind).values
+    row_of = dict(zip(points, rows)).__getitem__
+    col_of = {x: j for j, x in enumerate(points)}.__getitem__
+
+    def costs(src, dst):
+        cols = tuple(map(col_of, dst))
+        # an itemgetter of one index returns that entry, not a 1-tuple
+        cut = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+        return CostMatrix._unchecked(kind, tuple(map(cut, map(row_of, src))))
+
+    return costs
 
 
 def _check_kind(kind):
@@ -434,7 +458,7 @@ def solve_transport(a, b, kind=SQUARED_EUCLIDEAN):
     return c, solve_assignment(c)
 
 
-def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
+def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
     """Optimal assignment total between two equal-length point tuples.
 
     The value alone, with no matching, from the smallest solve that fixes
@@ -452,7 +476,10 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
 
     Every solve checks its dual certificate.  "euclid" adds the lex step
     of `solve_assignment`, as its float total depends on the optimum summed.
-    Returns an int for the exact kinds and a float for "euclid".
+    Returns an int for the exact kinds and a float for "euclid".  The solve
+    takes its matrix from `costs(src, dst)`, a table from `_cost_table`
+    built for `kind` and holding both tuples' points, when one is given,
+    and from `cost_matrix` otherwise.
     """
     _check_kind(kind)
     _check_assignment_size(len(src))
@@ -466,7 +493,7 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
             else:
                 moved.append(x)
         src = moved
-    c = cost_matrix(src, dst, kind)
+    c = cost_matrix(src, dst, kind) if costs is None else costs(src, dst)
     if kind == EUCLIDEAN:
         return solve_assignment(c).total
     return _certified_solve(c)[1].total

@@ -254,12 +254,36 @@ def test_unreadable_json_names_its_file(capsys, tmp_path, p42, data, message):
     assert captured.err == f"error: {path}: {message}\n"
 
 
+def _byte_stdin(data):
+    """A stdin over raw bytes, decoded leniently as a POSIX locale's is."""
+    return io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape")
+
+
 def test_empty_stdin_is_named_as_dash(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b""))
     assert cli.main(["symmetrize", "-", "--sigma", "2 1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: -: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_stdin_is_decoded_strictly_as_utf8(capsys, monkeypatch):
+    # the text layer would turn the byte into a lone surrogate, and json
+    # would then report an empty document
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b"\xff"))
+    assert cli.main(["symmetrize", "-", "--sigma", "2 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: -: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+def test_stdin_reads_a_partition(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _byte_stdin(b'{"m": 1, "entries": [4, 2]}'))
+    assert cli.main(["symmetrize", "-", "--sigma", "2 1"]) == 0
+    assert capsys.readouterr().out == '{"m":1,"entries":[2,2,1,1]}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +654,18 @@ def test_a_refused_sweep_writes_nothing(capsys, tmp_path, monkeypatch, argv, mes
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_refused_euclid_main_sweep_leaves_its_out_file_alone(capsys, tmp_path):
+    out = tmp_path / "report.jsonl"
+    out.write_bytes(b"kept as is")
+    argv = ["verify", "--theorem", "main", "--m", "1", "--n-max", "3",
+            "--cost", "euclid", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hybrid comparison needs an exact cost kind\n"
+    assert out.read_bytes() == b"kept as is"
 
 
 def test_a_streamed_sweep_holds_far_less_than_its_report(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import time
@@ -411,7 +412,7 @@ def test_report_records_match_the_uncached_sweep():
 
 def test_orbits_share_a_line_template_only_when_fields_print_alike(monkeypatch):
     # orbit-invariant fields whose values compare equal but print apart
-    def record(p, sigma, kind):
+    def record(p, sigma, kind, costs=None):
         src = measure_of(p)
         n = len(src)
         self_conjugate = sorted(c[::-1] for c in src) == list(src)
@@ -451,9 +452,9 @@ def test_the_main_sweep_runs_hybrid_plan(monkeypatch):
     expected = verify_theorem_main(2, 5, involutions(3)).to_jsonl()
     calls = []
 
-    def counting(p, sigma, kind=SQUARED_EUCLIDEAN):
+    def counting(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
         calls.append((p.entries, sigma.images))
-        return hybrid_plan(p, sigma, kind)
+        return hybrid_plan(p, sigma, kind, costs)
 
     monkeypatch.setattr(theorems, "hybrid_plan", counting)
     assert verify_theorem_main(2, 5, involutions(3)).to_jsonl() == expected
@@ -468,6 +469,54 @@ def test_size_mismatch_is_raised_before_any_solve(monkeypatch):
     sigmas = [Permutation.identity(3), SWAP]
     with pytest.raises(SizeMismatchError, match="permutation of size 2 cannot act on 3"):
         verify_theorem_cor(2, 3, sigmas)
+
+
+def test_a_euclid_main_sweep_is_refused_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the cost kind check")
+
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    with pytest.raises(NonIntegerCostsError, match="needs an exact cost kind"):
+        verify_theorem_main(1, 3, involutions(2), kind="euclid")
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
+def test_a_layer_cost_table_gives_the_built_matrices(kind):
+    # every (cells, sigma-image) pair of one layer, the l1 moved
+    # sub-tuples and a 1 x 1 pair; floats are compared with ==
+    parts = enumerate_partitions(2, 6)
+    table = transport._cost_table(sorted({x for p in parts for x in p.cells}), kind)
+    pairs = []
+    for p in parts:
+        src = measure_of(p)
+        for sigma in all_permutations(3):
+            dst = tuple(sorted(map(sigma.apply_to_cell, src)))
+            pairs.append((src, dst))
+            moved = tuple(x for x in src if x not in dst)
+            if moved:
+                pairs.append((moved, tuple(y for y in dst if y not in src)))
+    pairs.append((((0, 0, 0),), ((2, 1, 0),)))
+    assert sum(len(src) == 1 for src, _ in pairs) > 1
+    for src, dst in pairs:
+        assert table(src, dst) == cost_matrix(src, dst, kind)
+
+
+def test_a_main_sweep_builds_one_cost_matrix_per_n(monkeypatch):
+    built = []
+    real = transport.cost_matrix
+
+    def counting(src, dst, kind=SQUARED_EUCLIDEAN):
+        built.append((len(src), len(dst)))
+        return real(src, dst, kind)
+
+    monkeypatch.setattr(transport, "cost_matrix", counting)
+    text = verify_theorem_main(2, 6, involutions(3)).to_jsonl()
+    # one table per n over the cells of its plane partitions, not one
+    # matrix per moved orbit
+    assert built == [(k, k) for k in (1, 4, 7, 13, 16, 25)]
+    # the pinned main-m2-n6-involutions-sq report
+    digest = "6d2fe07643ef04a3a97eb23437c17eeda0e7a5fa3845322c778d2e774a0fd6fe"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_sweep_guard():
