@@ -238,8 +238,6 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
-    if not 0 < args.cell_size < math.inf:  # false for nan too
-        raise ValueError(f"--cell-size must be finite and > 0, got {args.cell_size}")
     p = _read_partition(args.input)
     sigma = Permutation.from_one_line(args.sigma) if args.sigma else None
     spec = RenderSpec(format=args.format, cell_size=args.cell_size)

@@ -36,7 +36,13 @@ RenderSpec.__doc__ = "Output format plus the side of one cell in output units."
 
 
 def render(p, spec, sigma=None):
-    """Render a partition diagram to text in the requested format."""
+    """Render a partition diagram to text in the requested format.
+
+    Raises ValueError unless the cell size is finite and > 0, and when a
+    drawn coordinate overflows to a non-finite float.
+    """
+    if not 0 < spec.cell_size < math.inf:  # false for nan too
+        raise ValueError(f"cell size must be finite and > 0, got {spec.cell_size}")
     if spec.format == ASCII:
         if p.m != 1:
             raise UnsupportedRenderError(f"ascii rendering supports m=1 only, got m={p.m}")
@@ -87,6 +93,9 @@ def _highlight(p, sigma):
 
 
 def _fmt(x):
+    """A drawn coordinate as text: every one is formatted here."""
+    if not math.isfinite(x):
+        raise ValueError(f"cell size too large: a drawn coordinate is {x}")
     text = f"{x:.2f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 

@@ -49,8 +49,9 @@ BRUTE_FORCE_MAX = 9
 # took 39 s to solve (3 s more for its cost matrix, 395 MiB peak) with
 # Python 3.11 on a shared 2-CPU VM.
 ASSIGNMENT_MAX_N = 2000
-MONOTONE_MAX_PAIRS = 12
-MONOTONE_MAX_CYCLE = 4
+# is_c_cyclically_monotone refuses more steps, (min(max_cycle, k) - 1) * k^3
+# for k pairs: an optimal flat plan of 320 pairs at max_cycle=4 took 9.1 s.
+_MONOTONE_MAX_WORK = 10**8
 
 _EUCLID_SCALE = 1 << 40  # fixed-precision grid for the irrational kind
 _EUCLID_EPS = 1e-9
@@ -562,40 +563,39 @@ def plan_to_json(matching, total):
 
 
 def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
-    """Check that no small family of pairs can relabel its targets cheaper.
+    """Check that no cycle of up to `max_cycle` pairs relabels its targets cheaper.
 
-    For every subset of up to `max_cycle` distinct pairs and every
-    permutation of its target points, the matched cost must not exceed the
-    permuted cost.  Returns (True, None) or (False, witness) where the
-    witness is the offending (family, permuted_targets).
-
-    Integer kinds compare exactly; "euclid" compares floats with a small
-    slack, which is ample for the tiny integer coordinates involved.
+    Returns (True, None) or (False, (family, permuted_targets)) for a
+    shortest improving cycle.  The cheapest walks over the exchange gains
+    c(s_i, t_j) - c(s_i, t_i) of the k distinct pairs grow one k^3 step at
+    a time until a closed one gains less than -slack (a small one for
+    "euclid" floats): a simple cycle at that least length, as a shorter
+    closed walk would have gained < 0 first.
     """
     pair_list = sorted(set(pairs))
-    if len(pair_list) > MONOTONE_MAX_PAIRS:
+    k = len(pair_list)
+    steps = max(min(max_cycle, k) - 1, 0)  # walk steps past the first
+    if steps * k**3 > _MONOTONE_MAX_WORK:
         raise InstanceTooLargeError(
-            f"{len(pair_list)} pairs exceed the guard {MONOTONE_MAX_PAIRS}"
-        )
-    if max_cycle > MONOTONE_MAX_CYCLE:
-        raise InstanceTooLargeError(
-            f"max_cycle={max_cycle} exceeds the guard {MONOTONE_MAX_CYCLE}"
+            f"{k} pairs at max_cycle={max_cycle} exceed the guard {_MONOTONE_MAX_WORK}"
         )
     _check_kind(kind)
-    cost = POINT_COSTS[kind]
+    if not steps:
+        return True, None
+    c = cost_matrix(*zip(*pair_list), kind).values  # sources x targets
+    gain = [[cij - row[i] for cij in row] for i, row in enumerate(c)]
+    into = list(zip(*gain))  # into[v][u]: the gain of the step u -> v
     slack = _EUCLID_EPS if kind == EUCLIDEAN else 0
-    for k in range(2, max_cycle + 1):
-        for family in itertools.combinations(pair_list, k):
-            base = sum(cost(s, t) for s, t in family)
-            targets = [t for _, t in family]
-            for perm in itertools.permutations(range(k)):
-                relabeled = sum(
-                    cost(family[idx][0], targets[perm[idx]]) for idx in range(k)
-                )
-                if base > relabeled + slack:
-                    witness = (
-                        family,
-                        tuple(targets[perm[idx]] for idx in range(k)),
-                    )
-                    return False, witness
+    walks = [gain]  # walks[l - 1][s][v]: the least gain of l steps s -> v
+    for length in range(2, steps + 2):
+        walks.append([[min(map(add, row, col)) for col in into] for row in walks[-1]])
+        for s in (i for i in range(k) if walks[-1][i][i] < -slack):
+            walk, v = [s], s  # the least closed walk, followed back from s
+            for last, prev in zip(walks[:0:-1], walks[-2::-1]):
+                v = next(u for u, g in enumerate(into[v]) if prev[s][u] + g == last[s][v])
+                walk.append(v)
+            if len(set(walk)) == length:  # else a "euclid" tie within the slack
+                # walk[i + 1] steps to walk[i]: it takes that pair's target
+                moves = zip(walk[1:] + walk[:1], walk)
+                return False, tuple(zip(*sorted((pair_list[i], pair_list[j][1]) for i, j in moves)))
     return True, None

@@ -715,8 +715,21 @@ def test_render_rejects_bad_cell_size(capsys, plane, size):
     assert cli.main(["render", plane, "--format", "svg", f"--cell-size={size}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --cell-size must be finite and > 0")
+    assert captured.err.startswith("error: cell size must be finite and > 0")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fixture", ["p42", "plane"])
+def test_render_refuses_a_cell_size_that_overflows(capsys, tmp_path, request, fixture):
+    out = tmp_path / "diagram.svg"
+    argv = ["render", request.getfixturevalue(fixture), "--format", "svg",
+            "--cell-size", "1e308", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cell size too large")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_render_unsupported(capsys, plane):

@@ -72,6 +72,22 @@ def test_tikz_flat_and_cubes():
     assert "cycle;" in cubes
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg", "tikz"])
+@pytest.mark.parametrize("size", [-1.0, 0.0, float("nan"), float("inf")])
+def test_render_refuses_a_bad_cell_size(fmt, size):
+    with pytest.raises(ValueError, match="cell size must be finite and > 0"):
+        render(P42, RenderSpec(format=fmt, cell_size=size))
+
+
+@pytest.mark.parametrize("p", [P42, PLANE], ids=["flat", "plane"])
+def test_render_refuses_non_finite_coordinates(p):
+    with pytest.raises(ValueError, match="cell size too large"):
+        render(p, RenderSpec(format="svg", cell_size=1e308))
+    # the largest coordinate of one square, 1.5 cells, stays finite
+    text = render(validate_array([1], 1), RenderSpec(format="svg", cell_size=1e308))
+    assert "inf" not in text and "nan" not in text
+
+
 def test_unsupported_combinations():
     solid = validate_array([[[1]]], 3)
     for fmt in ("ascii", "svg", "tikz"):

@@ -169,6 +169,26 @@ def test_cor_sweep_plane_all_kinds(kind):
         assert rec["w_zero"] == rec["self_symmetric"]
 
 
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+def test_cor_claims_are_symmetric_under_sigma_inverse(kind):
+    # sigma^-1 is an isometry, so W(p, sigma p) = W(sigma^-1 p, p), and p is
+    # fixed by sigma exactly when it is fixed by sigma^-1.  "euclid" is left
+    # out: its float totals need not agree in the last bit.
+    claims = ("w", "w_zero", "self_symmetric", "violation")
+    checked = 0
+    for m, n_max in ((2, 6), (3, 5)):
+        report = verify_theorem_cor(m, n_max, all_permutations(m + 1), kind=kind)
+        fields = {
+            (json.dumps(rec["partition"]), tuple(rec["sigma"])): [rec[f] for f in claims]
+            for rec in report.records
+        }
+        for (partition, sigma), claim in fields.items():
+            inv = inverse(Permutation(sigma)).images
+            assert fields[partition, inv] == claim, (partition, sigma)
+            checked += 1
+    assert checked == 2970
+
+
 def test_cor_sweep_identity_only():
     report = verify_theorem_cor(2, 4, [Permutation.identity(3)])
     assert report.violations == 0

@@ -25,6 +25,7 @@ from partition_ot import (
     cost_matrix,
     enumerate_partitions,
     hybrid_plan,
+    involutions,
     is_c_cyclically_monotone,
     measure_of,
     optimal_total,
@@ -41,6 +42,7 @@ from partition_ot import transport
 
 from downset_oracle import bruteforce_matching_total
 from lex_reference import lex_smallest_matching
+from monotone_reference import brute_force_monotone, reference_cost
 
 P42 = validate_array([4, 2], 1)
 P2211 = validate_array([2, 2, 1, 1], 1)
@@ -718,12 +720,123 @@ def test_monotone_boundary_equality_holds():
     assert ok
 
 
-def test_monotone_guards():
+def test_monotone_guards(monkeypatch):
+    # 13 pairs and 5-cycles: both were over the brute force's old caps
     pairs = {((i, 0), (i, 1)) for i in range(13)}
+    assert is_c_cyclically_monotone(pairs, "sq", 2) == (True, None)
+    assert is_c_cyclically_monotone({((0, 0), (0, 0))}, "sq", 5) == (True, None)
+    assert is_c_cyclically_monotone(pairs, "l1", 10**9) == (True, None)
+    # one guard on the steps, (min(max_cycle, k) - 1) * k^3, before any cost
+    monkeypatch.setattr(transport, "cost_matrix", None)
+    wide = {((i, 0), (i, 1)) for i in range(465)}  # 1 * 465^3 > 10^8
+    with pytest.raises(InstanceTooLargeError, match="465 pairs at max_cycle=2"):
+        is_c_cyclically_monotone(wide, "sq", 2)
+    deep = {((i, 0), (i, 1)) for i in range(323)}  # 3 * 323^3 > 10^8
     with pytest.raises(InstanceTooLargeError):
-        is_c_cyclically_monotone(pairs, "sq", 2)
-    with pytest.raises(InstanceTooLargeError):
-        is_c_cyclically_monotone({((0, 0), (0, 0))}, "sq", 5)
+        is_c_cyclically_monotone(deep, "sq", 4)
+    # under two steps there is nothing to search, however many pairs
+    assert is_c_cyclically_monotone(wide, "sq", 1) == (True, None)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        is_c_cyclically_monotone(wide, "cube", 0)
+
+
+@pytest.mark.parametrize("kind", ["sq", "l1"])
+def test_monotone_exact_kinds_need_integer_coordinates(kind):
+    with pytest.raises(NonIntegerCostsError):
+        is_c_cyclically_monotone({((0.5, 0), (0, 1)), ((0, 1), (0, 0))}, kind, 2)
+
+
+def _assert_matches_reference(pairs, kind, max_cycle):
+    """The search and the brute force agree, and the search's witness is
+    a simple cycle of the least violating size, cheaper by the slack.
+    Returns the answer."""
+    got = is_c_cyclically_monotone(pairs, kind, max_cycle)
+    ok, ref_witness = brute_force_monotone(pairs, kind, max_cycle)
+    assert got[0] == ok, (pairs, kind, max_cycle, got, ref_witness)
+    if ok:
+        assert got[1] is None
+        return ok
+    family, relabeled = got[1]
+    assert len(family) == len(ref_witness[0])
+    assert list(family) == sorted(set(family)) and set(family) <= set(pairs)
+    assert sorted(relabeled) == sorted(t for _, t in family)
+    # at the least size every pair moves: a fixed one would leave a
+    # smaller violating family
+    assert all(t != new for (_, t), new in zip(family, relabeled))
+    base = sum(reference_cost(kind, s, t) for s, t in family)
+    moved = sum(reference_cost(kind, s, t) for (s, _), t in zip(family, relabeled))
+    assert base > moved + (1e-9 if kind == "euclid" else 0)
+    return ok
+
+
+def test_monotone_search_matches_brute_force_on_random_pairs():
+    rng = random.Random(19)
+    for _ in range(1500):
+        dim, k, hi = rng.randint(1, 3), rng.randint(0, 7), rng.choice([1, 2, 4, 9])
+        point = lambda: tuple(rng.randint(0, hi) for _ in range(dim))
+        pairs = [(point(), point()) for _ in range(k)]
+        for kind in ("sq", "l1", "euclid"):
+            _assert_matches_reference(pairs, kind, rng.randint(0, 5))
+
+
+def test_monotone_search_matches_brute_force_on_sweep_matchings():
+    violations = 0
+    for m, n_max in ((1, 8), (2, 6)):
+        for n in range(1, n_max + 1):
+            for p in enumerate_partitions(m, n):
+                for sigma in involutions(m + 1):
+                    src = measure_of(p)
+                    dst = measure_of(symmetrize(p, sigma))
+                    optimal = solve_assignment(cost_matrix(src, dst)).matching
+                    assert _assert_matches_reference(_pairs(src, dst, optimal), "sq", 3)
+                    candidate = hybrid_plan(p, sigma).matching
+                    pairs = _pairs(src, dst, candidate)
+                    violations += not _assert_matches_reference(pairs, "sq", 3)
+    assert violations > 0  # some candidates do violate, so witnesses were checked
+
+
+def _pairs(src, dst, matching):
+    return [(src[i], dst[j]) for i, j in enumerate(matching)]
+
+
+def _candidate_pairs(p, sigma):
+    dst = measure_of(symmetrize(p, sigma))
+    return _pairs(measure_of(p), dst, hybrid_plan(p, sigma).matching)
+
+
+@pytest.mark.parametrize("entries", [(5, 2, 2, 2, 2), (5, 5, 1, 1, 1)], ids=str)
+def test_monotone_answers_past_the_old_pair_cap(entries):
+    # 13 candidate pairs, over the brute force's old cap of 12; no pair
+    # swap improves the candidate, but a 3-cycle does
+    pairs = _candidate_pairs(validate_array(entries, 1), SWAP)
+    assert len(set(pairs)) == 13
+    assert is_c_cyclically_monotone(pairs, "sq", 2) == (True, None)
+    ok, (family, relabeled) = is_c_cyclically_monotone(pairs, "sq", 3)
+    assert not ok and len(family) == len(relabeled) == 3
+    if entries == (5, 2, 2, 2, 2):
+        assert [s for s, _ in family] == [(0, 2), (1, 1), (1, 4)]
+
+
+@pytest.mark.parametrize(
+    "entries, sigma, family",
+    [
+        (
+            [[3, 1, 1], [1, 1, 1]],
+            "3 2 1",
+            (((0, 0, 1), (0, 0, 1)), ((0, 1, 2), (2, 1, 0)), ((1, 0, 0), (1, 0, 0))),
+        ),
+        (
+            [[2, 2, 2], [1], [1]],
+            "1 3 2",
+            (((0, 0, 1), (0, 0, 1)), ((0, 1, 0), (0, 1, 0)), ((1, 0, 2), (1, 2, 0))),
+        ),
+    ],
+)
+def test_monotone_plane_counterexamples_keep_their_witness(entries, sigma, family):
+    pairs = _candidate_pairs(validate_array(entries, 2), Permutation.from_one_line(sigma))
+    assert is_c_cyclically_monotone(pairs, "sq", 2) == (True, None)
+    ok, witness = is_c_cyclically_monotone(pairs, "sq", 3)
+    assert not ok and witness[0] == family
 
 
 def test_optimal_plan_supports_are_monotone():
