@@ -8,7 +8,7 @@ Output is byte-deterministic.
 
 import pathlib
 
-from partition_ot import Permutation, RenderSpec, render, render_ascii, validate_array
+from partition_ot import Permutation, RenderSpec, render, validate_array
 
 out_dir = pathlib.Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -16,9 +16,9 @@ out_dir.mkdir(exist_ok=True)
 flat = validate_array([4, 2], 1)
 swap = Permutation.from_one_line("2 1")
 print("ascii, plain:")
-print(render_ascii(flat))
+print(render(flat, RenderSpec()))
 print("ascii with the swap highlighted (x = moved, arrows = candidate sigma-image map):")
-print(render_ascii(flat, swap))
+print(render(flat, RenderSpec(), swap))
 
 plane = validate_array([[3, 2], [1]], 2)
 sigma = Permutation.from_one_line("1 3 2")

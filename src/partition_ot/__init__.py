@@ -45,7 +45,6 @@ from .render import (
     RenderSpec,
     UnsupportedRenderError,
     render,
-    render_ascii,
 )
 from .theorems import (
     SWEEP_MAX_M,

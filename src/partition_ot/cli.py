@@ -130,7 +130,10 @@ def build_parser():
         "--sigma", default=None,
         help="one-line permutation; highlights shared vs moved cells",
     )
-    p_r.add_argument("--cell-size", type=float, default=24.0)
+    p_r.add_argument(
+        "--cell-size", type=float, default=24.0,
+        help="side of one cell in SVG units, svg only (default: 24)",
+    )
     return parser
 
 

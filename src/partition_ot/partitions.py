@@ -155,8 +155,9 @@ class Permutation(_Frozen):
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(images)}: {images!r}")
+        n = len(images)
+        if not all(map(_is_int, images)) or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         self.__dict__.update(images=images, apply_to_cell=_cell_action(images))
 
     @property
@@ -348,7 +349,7 @@ def _check_cells(cells):
     if dim < 2:
         raise NotDownSetError(f"cells need at least 2 coordinates, got {dim}")
     for cell in cells:
-        if len(cell) != dim or any(not isinstance(x, int) or x < 0 for x in cell):
+        if len(cell) != dim or any(not _is_int(x) or x < 0 for x in cell):
             raise NotDownSetError(
                 f"cell {cell!r} is not a {dim}-tuple of non-negative integers"
             )

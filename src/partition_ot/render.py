@@ -31,43 +31,45 @@ class UnsupportedRenderError(ValueError):
     """Requested (format, dimension) combination is not renderable."""
 
 
-RenderSpec = namedtuple("RenderSpec", "format cell_size", defaults=(ASCII, 24.0))
+_DEFAULT_CELL_SIZE = 24.0
+
+RenderSpec = namedtuple(
+    "RenderSpec", "format cell_size", defaults=(ASCII, _DEFAULT_CELL_SIZE)
+)
 RenderSpec.__doc__ = "Output format plus the side of one cell in output units."
 
 
 def render(p, spec, sigma=None):
     """Render a partition diagram to text in the requested format.
 
-    Raises ValueError unless the cell size is finite and > 0, and when a
-    drawn coordinate overflows to a non-finite float.
+    ascii draws rows of '#' for m = 1: with a permutation, moved cells
+    print as 'x' and each gets an arrow line to its sigma-image, the
+    candidate map (not always optimal).  Only SVG reads the cell size:
+    ascii has no coordinates and TikZ draws on a unit grid.
+
+    Raises UnsupportedRenderError for a format or dimension not drawn, and
+    ValueError unless the cell size is finite and > 0, when a format other
+    than SVG is given a size other than the default, and when a drawn
+    coordinate overflows to a non-finite float.
     """
-    if not 0 < spec.cell_size < math.inf:  # false for nan too
-        raise ValueError(f"cell size must be finite and > 0, got {spec.cell_size}")
-    if spec.format == ASCII:
-        if p.m != 1:
-            raise UnsupportedRenderError(f"ascii rendering supports m=1 only, got m={p.m}")
-        return render_ascii(p, sigma)
-    if spec.format == SVG:
-        if p.m == 1:
-            return _svg_squares(p, spec, sigma)
-        if p.m == 2:
-            return _svg_cubes(p, spec, sigma)
-        raise UnsupportedRenderError(f"svg rendering supports m in {{1, 2}}, got m={p.m}")
-    if spec.format == TIKZ:
-        if p.m == 1:
-            return _tikz_squares(p, sigma)
-        if p.m == 2:
-            return _tikz_cubes(p, sigma)
-        raise UnsupportedRenderError(f"tikz rendering supports m in {{1, 2}}, got m={p.m}")
-    raise UnsupportedRenderError(f"unknown format {spec.format!r}")
+    size = spec.cell_size
+    if not 0 < size < math.inf:  # false for nan too
+        raise ValueError(f"cell size must be finite and > 0, got {size}")
+    if spec.format not in FORMATS:
+        raise UnsupportedRenderError(f"unknown format {spec.format!r}")
+    drawers = _DRAW[spec.format]
+    if p.m not in drawers:
+        dims = ", ".join(map(str, drawers))
+        supported = f"m={dims} only" if len(drawers) == 1 else f"m in {{{dims}}}"
+        raise UnsupportedRenderError(
+            f"{spec.format} rendering supports {supported}, got m={p.m}"
+        )
+    if spec.format != SVG and size != _DEFAULT_CELL_SIZE:
+        raise ValueError(f"only svg reads the cell size, got {size} for {spec.format}")
+    return drawers[p.m](p, size, sigma)
 
 
-def render_ascii(p, sigma=None):
-    """Rows of '#', largest row first.
-
-    With a permutation, moved cells print as 'x' and each gets an arrow
-    line to its sigma-image, the candidate map (not always optimal).
-    """
+def _ascii(p, _, sigma):
     colors, arrows = _highlight(p, sigma)
     rows = [
         "".join("x" if colors[a, i] == COLOR_MOVED else "#" for a in range(part))
@@ -104,32 +106,24 @@ def _fmt(x):
 # m = 1: unit squares in the plane
 
 
-def _square_geometry(p, spec, sigma):
-    """Screen rectangles for each cell plus arrow segments, y pointing down."""
-    s = spec.cell_size
+def _square_geometry(p, s, sigma):
+    """Screen rectangles for each cell plus arrow segments, y pointing down,
+    with cells of side s."""
     colors, arrows = _highlight(p, sigma)
     cells = sorted(colors)
     extent = set(cells).union(image for _, image in arrows)
     top = max(c[1] for c in extent) + 1
-    boxes = [
-        (cell, colors[cell], cell[0] * s, (top - 1 - cell[1]) * s) for cell in cells
-    ]
-    segments = [
-        (
-            (a[0] + 0.5) * s,
-            (top - 1 - a[1] + 0.5) * s,
-            (b[0] + 0.5) * s,
-            (top - 1 - b[1] + 0.5) * s,
-        )
-        for a, b in arrows
-    ]
+    at = lambda x, y: (x * s, (top - y) * s)  # from cell units, y up
+    mid = lambda c: at(c[0] + 0.5, c[1] + 0.5)
+    boxes = [(cell, colors[cell], *at(cell[0], cell[1] + 1)) for cell in cells]
+    segments = [(*mid(a), *mid(b)) for a, b in arrows]
     width = (max(c[0] for c in extent) + 1) * s
     return boxes, segments, width, top * s
 
 
-def _svg_squares(p, spec, sigma):
-    boxes, segments, width, height = _square_geometry(p, spec, sigma)
-    pad = spec.cell_size * 0.25
+def _svg_squares(p, s, sigma):
+    boxes, segments, width, height = _square_geometry(p, s, sigma)
+    pad = s * 0.25
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(-pad)} {_fmt(-pad)} {_fmt(width + 2 * pad)} {_fmt(height + 2 * pad)}">'
@@ -141,8 +135,8 @@ def _svg_squares(p, spec, sigma):
         )
     for _, color, x, y in boxes:
         out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(spec.cell_size)}" '
-            f'height="{_fmt(spec.cell_size)}" fill="{color}" stroke="#333333"/>'
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(s)}" '
+            f'height="{_fmt(s)}" fill="{color}" stroke="#333333"/>'
         )
     for x1, y1, x2, y2 in segments:
         out.append(
@@ -153,19 +147,18 @@ def _svg_squares(p, spec, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_squares(p, sigma):
-    colors, arrows = _highlight(p, sigma)
-    out = [_tikz_color_defs()]
-    for cell in sorted(colors):
-        a0, a1 = cell
+def _tikz_squares(p, _, sigma):
+    boxes, segments, _, height = _square_geometry(p, 1, sigma)
+    up = lambda y: _fmt(height - y)  # TikZ y grows upward
+    out = [_TIKZ_COLOR_DEFS]
+    for _, color, x, y in boxes:
         out.append(
-            f"\\filldraw[fill={_tikz_color_name(colors[cell])}, draw=black] "
-            f"({a0},{a1}) rectangle ({a0 + 1},{a1 + 1});"
+            f"\\filldraw[fill={_TIKZ_NAMES[color]}, draw=black] "
+            f"({_fmt(x)},{up(y + 1)}) rectangle ({_fmt(x + 1)},{up(y)});"
         )
-    for cell, image in arrows:
+    for x1, y1, x2, y2 in segments:
         out.append(
-            f"\\draw[->, dashed] ({_fmt(cell[0] + 0.5)},{_fmt(cell[1] + 0.5)}) -- "
-            f"({_fmt(image[0] + 0.5)},{_fmt(image[1] + 0.5)});"
+            f"\\draw[->, dashed] ({_fmt(x1)},{up(y1)}) -- ({_fmt(x2)},{up(y2)});"
         )
     return "\n".join(out) + "\n"
 
@@ -178,17 +171,16 @@ def _tikz_squares(p, sigma):
 # so cells nearer the origin land on top.
 
 
-def _project(spec, h, u, v):
-    s = spec.cell_size
+def _project(s, h, u, v):
     kx = s * math.cos(math.radians(ISO_ANGLE_DEG))
     ky = s * math.sin(math.radians(ISO_ANGLE_DEG))
     return (u - v) * kx, (u + v) * ky - h * s
 
 
-def _cube_faces(spec, cell):
-    """Three visible faces of a cube as 2D polygons (top, right, left)."""
+def _cube_faces(s, cell):
+    """Three visible faces of a cube of side s as 2D polygons (top, right, left)."""
     h, u, v = cell
-    pr = lambda *c: _project(spec, *c)
+    pr = lambda *c: _project(s, *c)
     top = [pr(h + 1, u, v), pr(h + 1, u + 1, v), pr(h + 1, u + 1, v + 1), pr(h + 1, u, v + 1)]
     right = [pr(h, u + 1, v), pr(h + 1, u + 1, v), pr(h + 1, u + 1, v + 1), pr(h, u + 1, v + 1)]
     left = [pr(h, u, v + 1), pr(h + 1, u, v + 1), pr(h + 1, u + 1, v + 1), pr(h, u + 1, v + 1)]
@@ -196,39 +188,29 @@ def _cube_faces(spec, cell):
 
 
 def _shade(color, factor):
-    r = round(int(color[1:3], 16) * factor)
-    g = round(int(color[3:5], 16) * factor)
-    b = round(int(color[5:7], 16) * factor)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    rgb = (round(int(color[i : i + 2], 16) * factor) for i in (1, 3, 5))
+    return "#" + "".join(f"{x:02x}" for x in rgb)
 
 
-def _painted_cubes(p, spec, sigma):
-    """(cell, [(polygon, fill), ...]) in paint order."""
+def _painted_cubes(p, s, sigma):
+    """(cell, [(polygon, fill), ...]) in paint order, cubes of side s."""
     colors, _ = _highlight(p, sigma)
-    order = sorted(colors, key=lambda c: (-sum(c), c))
     out = []
-    for cell in order:
+    for cell in sorted(colors, key=lambda c: (-sum(c), c)):
         base = colors[cell]
-        top, right, left = _cube_faces(spec, cell)
+        top, right, left = _cube_faces(s, cell)
         out.append(
-            (
-                cell,
-                [
-                    (top, base),
-                    (right, _shade(base, 0.80)),
-                    (left, _shade(base, 0.65)),
-                ],
-            )
+            (cell, [(top, base), (right, _shade(base, 0.8)), (left, _shade(base, 0.65))])
         )
     return out
 
 
-def _svg_cubes(p, spec, sigma):
-    cubes = _painted_cubes(p, spec, sigma)
+def _svg_cubes(p, s, sigma):
+    cubes = _painted_cubes(p, s, sigma)
     points = [pt for _, faces in cubes for poly, _ in faces for pt in poly]
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
-    pad = spec.cell_size * 0.25
+    pad = s * 0.25
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(min(xs) - pad)} {_fmt(min(ys) - pad)} '
@@ -242,15 +224,15 @@ def _svg_cubes(p, spec, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_cubes(p, sigma):
-    cubes = _painted_cubes(p, RenderSpec(format=TIKZ, cell_size=1.0), sigma)
-    out = [_tikz_color_defs()]
+def _tikz_cubes(p, _, sigma):
+    cubes = _painted_cubes(p, 1, sigma)
+    out = [_TIKZ_COLOR_DEFS]
     shade_name = {}
     for _, faces in cubes:
         for _, fill in faces:
             if fill not in shade_name:
                 shade_name[fill] = f"cellshade{len(shade_name)}"
-                out.append(f"\\definecolor{{{shade_name[fill]}}}{{HTML}}{{{fill[1:].upper()}}}")
+                out.append(_tikz_define(shade_name[fill], fill))
     for _, faces in cubes:
         for poly, fill in faces:
             # TikZ y grows upward; flip the projected y.
@@ -261,17 +243,19 @@ def _tikz_cubes(p, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_color_defs():
-    return (
-        "\\definecolor{cellplain}{HTML}{E8E8E8}\n"
-        "\\definecolor{cellcommon}{HTML}{9467BD}\n"
-        "\\definecolor{cellmoved}{HTML}{FF7F0E}"
-    )
+def _tikz_define(name, color):
+    return f"\\definecolor{{{name}}}{{HTML}}{{{color[1:].upper()}}}"
 
 
-def _tikz_color_name(color):
-    return {
-        COLOR_PLAIN: "cellplain",
-        COLOR_COMMON: "cellcommon",
-        COLOR_MOVED: "cellmoved",
-    }[color]
+_TIKZ_NAMES = {
+    COLOR_PLAIN: "cellplain", COLOR_COMMON: "cellcommon", COLOR_MOVED: "cellmoved"
+}
+_TIKZ_COLOR_DEFS = "\n".join(_tikz_define(name, c) for c, name in _TIKZ_NAMES.items())
+
+# The drawers of each format by dimension; each takes (p, cell size, sigma),
+# and only SVG reads the size.
+_DRAW = {
+    ASCII: {1: _ascii},
+    SVG: {1: _svg_squares, 2: _svg_cubes},
+    TIKZ: {1: _tikz_squares, 2: _tikz_cubes},
+}

@@ -49,8 +49,9 @@ BRUTE_FORCE_MAX = 9
 # took 39 s to solve (3 s more for its cost matrix, 395 MiB peak) with
 # Python 3.11 on a shared 2-CPU VM.
 ASSIGNMENT_MAX_N = 2000
-# is_c_cyclically_monotone refuses more steps, (min(max_cycle, k) - 1) * k^3
-# for k pairs: an optimal flat plan of 320 pairs at max_cycle=4 took 9.1 s.
+# is_c_cyclically_monotone refuses more steps, (min(max_cycle, k) - 2) * k^3
+# + k^2 for k pairs: an optimal flat plan of 320 pairs at max_cycle=4 took
+# 4.7 s, at 300 pairs and max_cycle=2 0.02 s, on the same VM.
 _MONOTONE_MAX_WORK = 10**8
 
 _EUCLID_SCALE = 1 << 40  # fixed-precision grid for the irrational kind
@@ -130,11 +131,10 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
         kinds = set(map(type, itertools.chain(*src, *dst)))
         if not all(issubclass(t, int) for t in kinds):
             raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
-    dim = len(src[0]) if src else 0
-    if src and dst and dim != len(dst[0]):
-        raise DimensionMismatchError(
-            f"source dimension {dim} != target dimension {len(dst[0])}"
-        )
+    dims = set(map(len, itertools.chain(src, dst)))
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"points of different dimensions {sorted(dims)}")
+    dim = dims.pop() if dims else 0
     if not dim:  # no rows, or zero-dimensional points, which all coincide
         zero = 0.0 if kind == EUCLIDEAN else 0
         return CostMatrix._unchecked(kind, ((zero,) * len(dst),) * len(src))
@@ -570,32 +570,38 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
     c(s_i, t_j) - c(s_i, t_i) of the k distinct pairs grow one k^3 step at
     a time until a closed one gains less than -slack (a small one for
     "euclid" floats): a simple cycle at that least length, as a shorter
-    closed walk would have gained < 0 first.
+    closed walk would have gained < 0 first.  At `max_cycle` steps only the
+    k closed walks are taken, a k^2 step.
     """
     pair_list = sorted(set(pairs))
     k = len(pair_list)
-    steps = max(min(max_cycle, k) - 1, 0)  # walk steps past the first
-    if steps * k**3 > _MONOTONE_MAX_WORK:
+    longest = min(max_cycle, k)
+    # k^3 per walk table up to longest - 1 steps, then k^2 for the closed walks
+    if longest > 1 and (longest - 2) * k**3 + k * k > _MONOTONE_MAX_WORK:
         raise InstanceTooLargeError(
             f"{k} pairs at max_cycle={max_cycle} exceed the guard {_MONOTONE_MAX_WORK}"
         )
     _check_kind(kind)
-    if not steps:
+    if longest < 2:
         return True, None
     c = cost_matrix(*zip(*pair_list), kind).values  # sources x targets
     gain = [[cij - row[i] for cij in row] for i, row in enumerate(c)]
     into = list(zip(*gain))  # into[v][u]: the gain of the step u -> v
     slack = _EUCLID_EPS if kind == EUCLIDEAN else 0
     walks = [gain]  # walks[l - 1][s][v]: the least gain of l steps s -> v
-    for length in range(2, steps + 2):
-        walks.append([[min(map(add, row, col)) for col in into] for row in walks[-1]])
-        for s in (i for i in range(k) if walks[-1][i][i] < -slack):
-            walk, v = [s], s  # the least closed walk, followed back from s
-            for last, prev in zip(walks[:0:-1], walks[-2::-1]):
-                v = next(u for u, g in enumerate(into[v]) if prev[s][u] + g == last[s][v])
+    for length in range(2, longest + 1):
+        # the least closed walks of `length` steps, s -> ... -> u -> s
+        closed = [min(map(add, walks[-1][s], into[s])) for s in range(k)]
+        for s in (i for i in range(k) if closed[i] < -slack):
+            walk, v, least = [s], s, closed[s]  # followed back from s
+            for prev in walks[::-1]:
+                v = next(u for u, g in enumerate(into[v]) if prev[s][u] + g == least)
                 walk.append(v)
+                least = prev[s][v]
             if len(set(walk)) == length:  # else a "euclid" tie within the slack
                 # walk[i + 1] steps to walk[i]: it takes that pair's target
                 moves = zip(walk[1:] + walk[:1], walk)
                 return False, tuple(zip(*sorted((pair_list[i], pair_list[j][1]) for i, j in moves)))
+        if length < longest:
+            walks.append([[min(map(add, row, col)) for col in into] for row in walks[-1]])
     return True, None

@@ -732,6 +732,30 @@ def test_render_refuses_a_cell_size_that_overflows(capsys, tmp_path, request, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "fixture, fmt", [("p42", "ascii"), ("p42", "tikz"), ("plane", "tikz")]
+)
+def test_render_refuses_an_unread_cell_size(capsys, tmp_path, request, fixture, fmt):
+    out = tmp_path / "diagram.txt"
+    argv = ["render", request.getfixturevalue(fixture), "--format", fmt,
+            "--cell-size", "10", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: only svg reads the cell size, got 10.0 for {fmt}\n"
+    assert not out.exists()
+    # the default size, given or not, draws the same bytes
+    assert cli.main(argv[:4]) == 0
+    default = capsys.readouterr().out
+    assert cli.main(argv[:4] + ["--cell-size", "24"]) == 0
+    assert capsys.readouterr().out == default != ""
+
+
+def test_render_svg_reads_the_cell_size(capsys, p42):
+    assert cli.main(["render", p42, "--format", "svg", "--cell-size", "10"]) == 0
+    assert '<rect x="0" y="10" width="10" height="10"' in capsys.readouterr().out
+
+
 def test_render_unsupported(capsys, plane):
     assert cli.main(["render", plane, "--format", "ascii"]) == 2
 

@@ -101,6 +101,12 @@ def test_from_cells():
     assert from_cells(measure_of(validate_array([[2, 1], [1]], 2))).m == 2
 
 
+def test_from_cells_refuses_bool_coordinates():
+    # (True, 0) == (1, 0), but a bool is no integer here, as at every boundary
+    with pytest.raises(NotDownSetError, match=r"cell \(True, 0\) is not"):
+        from_cells([(0, 0), (True, 0)])
+
+
 def test_from_cells_input_is_checked():
     with pytest.raises(NotDownSetError, match=r"cell \(0, 1, 1\) present"):
         from_cells([(0, 0, 0), (0, 1, 1)])
@@ -323,6 +329,13 @@ def test_permutation_validation():
         Permutation.from_one_line("2 3")
     with pytest.raises(ValueError):
         Permutation.from_one_line("not a perm")
+
+
+@pytest.mark.parametrize("images", [[2.0, 1], [True, 2], [1, False], [1.0]])
+def test_permutation_images_are_ints(images):
+    # equal to 1..n by ==, but no int: refused, not carried to a later TypeError
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(images)
 
 
 def test_permutation_freezes_its_images():

@@ -1,7 +1,10 @@
 import hashlib
+import sys
+import types
 
 import pytest
 
+import partition_ot
 from partition_ot import (
     Permutation,
     RenderSpec,
@@ -9,7 +12,6 @@ from partition_ot import (
     all_permutations,
     enumerate_partitions,
     render,
-    render_ascii,
     validate_array,
 )
 
@@ -19,18 +21,28 @@ SWAP = Permutation.from_one_line("2 1")
 
 
 def test_ascii_rows():
-    assert render_ascii(P42) == "####\n##\n"
-    assert render_ascii(validate_array([1], 1)) == "#\n"
+    assert render(P42, RenderSpec()) == "####\n##\n"
+    assert render(validate_array([1], 1), RenderSpec()) == "#\n"
 
 
 def test_ascii_with_highlight_and_arrows():
-    text = render_ascii(P42, SWAP)
+    text = render(P42, RenderSpec(), SWAP)
     assert text == "##xx\n##\n(2, 0) -> (0, 2)\n(3, 0) -> (0, 3)\n"
 
 
 def test_ascii_only_flat():
     with pytest.raises(UnsupportedRenderError):
         render(PLANE, RenderSpec(format="ascii"))
+
+
+def test_render_is_the_one_public_render_function():
+    module = sys.modules["partition_ot.render"]
+    functions = [
+        name for name, obj in vars(module).items()
+        if isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__
+    ]
+    assert [name for name in functions if not name.startswith("_")] == ["render"]
+    assert not hasattr(partition_ot, "render_ascii")
 
 
 def test_svg_single_square():
@@ -79,6 +91,18 @@ def test_render_refuses_a_bad_cell_size(fmt, size):
         render(P42, RenderSpec(format=fmt, cell_size=size))
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "tikz"])
+@pytest.mark.parametrize("size", [10.0, 1.0, 24.5])
+def test_only_svg_takes_a_cell_size(fmt, size):
+    p = P42 if fmt == "ascii" else PLANE
+    message = f"only svg reads the cell size, got {size} for {fmt}"
+    with pytest.raises(ValueError, match=message):
+        render(p, RenderSpec(format=fmt, cell_size=size))
+    # the default size, given or not, draws as before
+    assert render(p, RenderSpec(fmt, 24)) == render(p, RenderSpec(fmt))
+    assert render(p, RenderSpec(format="svg", cell_size=size)).startswith("<svg ")
+
+
 @pytest.mark.parametrize("p", [P42, PLANE], ids=["flat", "plane"])
 def test_render_refuses_non_finite_coordinates(p):
     with pytest.raises(ValueError, match="cell size too large"):
@@ -111,3 +135,20 @@ def test_render_bytes_are_pinned():
     assert len(out) == 820
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == "6337901c2d7c267f6ad2fc1ffad59acf3d69e880ee3096928b9391ad452485fe"
+
+
+def test_svg_bytes_are_pinned_at_other_cell_sizes():
+    """SVG alone reads the cell size: every partition up to n = 5 at m = 1
+    and 2, drawn plain and under every sigma, at two sizes besides the
+    default, hashes to a fixed digest."""
+    out = []
+    for size in (7.5, 1000.0):
+        for m in (1, 2):
+            sigmas = [None, *all_permutations(m + 1)]
+            for n in range(1, 6):
+                for p in enumerate_partitions(m, n):
+                    for sigma in sigmas:
+                        out.append(render(p, RenderSpec("svg", size), sigma=sigma))
+    assert len(out) == 766
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "b1ff1670953c411352da5395430047fb0c8b281652309676548323c065a36c4c"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from partition_ot import (
     ASSIGNMENT_MAX_N,
+    COST_KINDS,
     CostMatrix,
     DimensionMismatchError,
     InstanceTooLargeError,
@@ -98,6 +99,28 @@ def test_l1_and_euclid_kinds():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         cost_matrix(measure_of(P42), measure_of(PLANE))
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        ([(0, 0), (1,)], [(0, 0), (0, 1)]),  # a short source after the first
+        ([(0, 0), (1, 1)], [(0, 0), (0, 1, 5)]),  # a long target after the first
+        ([(0, 0)], [(0, 0, 0)]),
+        ([], [(0, 0), (1,)]),
+    ],
+    ids=["short-source", "long-target", "first-points", "no-source"],
+)
+def test_cost_matrix_refuses_ragged_points(src, dst):
+    for kind in COST_KINDS:
+        with pytest.raises(DimensionMismatchError, match="different dimensions"):
+            cost_matrix(src, dst, kind)
+
+
+def test_monotone_refuses_ragged_pairs():
+    pairs = {((0, 0), (0, 1)), ((1,), (0, 0))}
+    with pytest.raises(DimensionMismatchError):
+        is_c_cyclically_monotone(pairs, "sq", 2)
 
 
 @st.composite
@@ -726,14 +749,25 @@ def test_monotone_guards(monkeypatch):
     assert is_c_cyclically_monotone(pairs, "sq", 2) == (True, None)
     assert is_c_cyclically_monotone({((0, 0), (0, 0))}, "sq", 5) == (True, None)
     assert is_c_cyclically_monotone(pairs, "l1", 10**9) == (True, None)
-    # one guard on the steps, (min(max_cycle, k) - 1) * k^3, before any cost
-    monkeypatch.setattr(transport, "cost_matrix", None)
-    wide = {((i, 0), (i, 1)) for i in range(465)}  # 1 * 465^3 > 10^8
-    with pytest.raises(InstanceTooLargeError, match="465 pairs at max_cycle=2"):
+    # one guard on the steps, (min(max_cycle, k) - 2) * k^3 + k^2, before any
+    # cost; one pair fewer passes it and reaches the cost build
+    class CostBuilt(Exception):
+        pass
+
+    def cost_matrix(*args):
+        raise CostBuilt
+
+    monkeypatch.setattr(transport, "cost_matrix", cost_matrix)
+    wide = {((i, 0), (i, 1)) for i in range(10_001)}  # 10001^2 > 10^8
+    with pytest.raises(InstanceTooLargeError, match="10001 pairs at max_cycle=2"):
         is_c_cyclically_monotone(wide, "sq", 2)
-    deep = {((i, 0), (i, 1)) for i in range(323)}  # 3 * 323^3 > 10^8
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(CostBuilt):
+        is_c_cyclically_monotone(set(list(wide)[1:]), "sq", 2)  # 10000^2 = 10^8
+    deep = {((i, 0), (i, 1)) for i in range(369)}  # 2 * 369^3 + 369^2 > 10^8
+    with pytest.raises(InstanceTooLargeError, match="369 pairs at max_cycle=4"):
         is_c_cyclically_monotone(deep, "sq", 4)
+    with pytest.raises(CostBuilt):
+        is_c_cyclically_monotone(set(list(deep)[1:]), "sq", 4)
     # under two steps there is nothing to search, however many pairs
     assert is_c_cyclically_monotone(wide, "sq", 1) == (True, None)
     with pytest.raises(ValueError, match="unknown cost kind"):
