@@ -49,8 +49,9 @@ def render(p, spec, sigma=None):
 
     Raises UnsupportedRenderError for a format or dimension not drawn, and
     ValueError unless the cell size is finite and > 0, when a format other
-    than SVG is given a size other than the default, and when a drawn
-    coordinate overflows to a non-finite float.
+    than SVG is given a size other than the default, when an SVG cell would
+    be drawn less than 0.01 wide, and when a drawn coordinate overflows to
+    a non-finite float.
     """
     size = spec.cell_size
     if not 0 < size < math.inf:  # false for nan too
@@ -66,6 +67,10 @@ def render(p, spec, sigma=None):
         )
     if spec.format != SVG and size != _DEFAULT_CELL_SIZE:
         raise ValueError(f"only svg reads the cell size, got {size} for {spec.format}")
+    # `_fmt` keeps two decimals: a square's side or a cube face's width >= 0.01
+    least = size if p.m == 1 else _project(size, 0, 1, 0)[0]
+    if spec.format == SVG and least < 0.01:
+        raise ValueError(f"cell size too small: {size} draws a cell under 0.01 wide")
     return drawers[p.m](p, size, sigma)
 
 

@@ -15,10 +15,10 @@ Reports are deterministic: records appear in canonical enumeration order
 and serialize to byte-identical JSON lines, handed out a partition at a
 time.
 Each claim is computed once per symmetry orbit of instances under
-relabelling the axes, with orbit state kept for one n, and one outcome
-table serializes each distinct result once for all its lines (`_sweep`).
-Each n also builds one cost table over its partitions' cells, and every
-solve of that n looks its matrix up there.
+relabelling the axes, and one outcome table serializes each distinct
+result once for all its lines (`_sweep`).  Each n is one layer, run in
+three passes: key its instances by orbit, solve one representative per
+orbit from one cost table over the layer's cells, and write its lines.
 """
 
 from __future__ import annotations
@@ -198,22 +198,18 @@ def _check_orbit_table(m, sigmas):
 def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     """Run one claim over every (partition, sigma) instance up to n_max.
 
-    Hands `write` one string per partition, its record lines as they are
-    made, each ending in a newline, and the summary line last.  Without
-    `write` the report keeps one line per record.
+    Hands `write` one string per partition, its record lines each ending
+    in a newline, and the summary line last.  Without `write` the report
+    keeps one line per record.
 
-    Relabelling the m + 1 axes by any tau preserves every cost kind, so the
-    instance (tau p, tau sigma tau^-1) has the cost matrix of (p, sigma) up
-    to a reordering of rows and columns, and the same claim fields.  The
-    claim therefore runs once per orbit, on the orbit's first instance in
-    enumeration order; an orbit's key is one int (`_orbit_keys`).  An orbit
-    lies in one n, so orbit state lives for one n.  So does the cost table
-    that the claim's solves look their matrices up in: the cells of every
-    instance of n lie in the union of n's partitions' cells, a set that
-    every sigma maps onto itself, so one `_cost_table` over it serves them
-    all.  Each distinct outcome, the claim's fields, is serialized once into
-    a line template that its instances fill with their n, partition and
-    sigma; the summary is counted from the outcomes' instances per sigma.
+    Relabelling the axes by tau maps (p, sigma) to (tau p, tau sigma
+    tau^-1) with the same cost matrix up to row and column order, so the
+    claim runs once per orbit, and an orbit lies in one n.  Each n runs in
+    three passes: key, solve and write.  Its solves look their matrices up
+    in one cost table over the union of its partitions' cells, a set that
+    every sigma maps onto itself.  Each distinct outcome, the claim's
+    fields, is serialized once into a line template that its instances
+    fill with their n, partition and sigma.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
@@ -228,24 +224,32 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     outcomes = {}
     keys = _orbit_keys(m, sigmas)
     for n in range(1, n_max + 1):
-        orbits = {}  # orbit key -> its outcome
-        n_json = str(n)
         parts = enumerate_partitions(m, n, max_cells=max_cells)
+        # key the layer; each key's first instance represents its orbit
+        rows = keys([measure_of(p) for p in parts])
+        firsts = {}  # orbit key -> its first instance (p, sigma index)
+        for p, row in zip(parts, rows):
+            for i, key in enumerate(row):
+                if key not in firsts:
+                    firsts[key] = p, i
+        # solve the representatives, in enumeration order
         costs = _cost_table(sorted({x for p in parts for x in p.cells}), kind)
-        for p in parts:
+        orbits = {}  # orbit key -> its outcome
+        for key, (p, i) in firsts.items():
+            fields = record(p, sigmas[i], kind, costs)
+            fkey = repr(tuple(fields.values()))
+            if fkey not in outcomes:
+                template = _line_template(theorem, m, fields)
+                outcomes[fkey] = (template, fields, [0] * len(sigmas))
+            orbits[key] = outcomes[fkey]
+        # write the layer, one string per partition
+        n_json = str(n)
+        for p, row in zip(parts, rows):
             entries = _dumps(p.entries)  # json writes tuples as arrays
             batch = []
-            for i, key in enumerate(keys(measure_of(p))):
-                outcome = orbits.get(key)
-                if outcome is None:
-                    fields = record(p, sigmas[i], kind, costs)
-                    fkey = repr(tuple(fields.values()))
-                    if fkey not in outcomes:
-                        template = _line_template(theorem, m, fields)
-                        outcomes[fkey] = (template, fields, [0] * len(sigmas))
-                    outcome = orbits[key] = outcomes[fkey]
-                outcome[2][i] += 1
-                head, mid1, mid2, tail = outcome[0]  # around n, partition, sigma
+            for i, key in enumerate(row):
+                (head, mid1, mid2, tail), _, per_sigma = orbits[key]
+                per_sigma[i] += 1
                 batch += head, n_json, mid1, entries, mid2, sigma_json[i], tail
             write("".join(batch))
     weighted = [(fields, sum(per_sigma)) for _, fields, per_sigma in outcomes.values()]
@@ -290,23 +294,19 @@ def _line_template(theorem, m, fields):
 def _orbit_keys(m, sigmas):
     """Orbit keys of the (p, sigma) instances, one per sigma in `sigmas`.
 
-    Returns `keys(src)`, which maps the measure of p to one int key per
-    sigma.  Two instances of one n get equal keys exactly when some tau in
-    S_{m+1} carries one to the other: (p, sigma) -> (tau p, tau sigma tau^-1).
+    Returns `keys(layer)`, which maps the measures of partitions of one n
+    to one row of int keys each, one key per sigma.  Two instances of the
+    layer get equal keys exactly when some tau in S_{m+1} carries one to
+    the other: (p, sigma) -> (tau p, tau sigma tau^-1).
 
-    Each distinct conjugate tau^-1 sigma tau is numbered once, so the table
-    holds one small int per (tau, sigma).  The first partition that `keys`
-    meets from an orbit of partitions is that orbit's representative r; it
-    is numbered, and its tau-images are recorded then, so each later member
-    p = tau r costs one lookup.  The instance (p, sigma) is
-    tau (r, tau^-1 sigma tau); its key is r's number with the least such
-    conjugate number over the tau that carry r to p.  A numbering is
-    canonical whatever its order, because the set of those conjugates
-    depends only on the instance's orbit.  A partition met again gets the
-    keys it got first.  State is kept for one n, the last one met: an orbit
-    lies in one n.
+    The conjugate table, all that `keys` keeps between calls, numbers each
+    distinct tau^-1 sigma tau once and holds one small int per (tau,
+    sigma).  The first partition of the layer met from an orbit of
+    partitions is its representative r, and all its tau-images are keyed
+    then.  The instance (p, sigma) is tau (r, tau^-1 sigma tau); its key is
+    r's number with the least such conjugate number over the tau that carry
+    r to p, a set of conjugates that depends only on the instance's orbit.
     """
-    _check_orbit_table(m, sigmas)
     movers = []
     conjugates = []
     numbers = {}  # a conjugate's one-line images -> its number
@@ -327,37 +327,22 @@ def _orbit_keys(m, sigmas):
             for s in padded
         ))
     width = len(numbers)
-    reps = {}  # this n's representatives -> their numbers
-    known = {}  # this n's partitions not met yet -> their keys
-    n = None
 
-    def cosets(src):
-        """Each tau-image of src -> the conjugate rows of the tau giving it."""
-        found = {}
-        for move, conj in zip(movers, conjugates):
-            found.setdefault(tuple(sorted(map(move, src))), []).append(conj)
-        return found
-
-    def keys(src):
-        nonlocal n
-        found = known.pop(src, None)
-        if found is None:
-            if len(src) != n:
-                n = len(src)
-                reps.clear()
-                known.clear()
-            images = cosets(src)
-            # a sweep meets each partition once; one met again is keyed
-            # from its orbit's representative, as it was the first time
-            rep = next(filter(reps.__contains__, images), src)
-            if rep is not src:
-                images = cosets(rep)
-            base = reps.setdefault(rep, len(reps)) * width
+    def keys(layer):
+        rows = {}  # each partition keyed so far -> its key row
+        for src in layer:
+            if src in rows:
+                continue
+            images = {}  # each tau-image of src -> the conjugate rows giving it
+            for move, conj in zip(movers, conjugates):
+                images.setdefault(tuple(sorted(map(move, src))), []).append(conj)
+            # src is a new representative: len(rows) grows by at least one
+            # between representatives, so it numbers them apart
+            base = len(rows) * width
             for image, coset in images.items():
                 least = coset[0] if len(coset) == 1 else map(min, *coset)
-                known[image] = [base + c for c in least]
-            found = known.pop(src)
-        return found
+                rows[image] = [base + c for c in least]
+        return [rows[src] for src in layer]
 
     return keys
 

@@ -51,7 +51,10 @@ BRUTE_FORCE_MAX = 9
 ASSIGNMENT_MAX_N = 2000
 # is_c_cyclically_monotone refuses more steps, (min(max_cycle, k) - 2) * k^3
 # + k^2 for k pairs: an optimal flat plan of 320 pairs at max_cycle=4 took
-# 4.7 s, at 300 pairs and max_cycle=2 0.02 s, on the same VM.
+# 4.7 s, at 300 pairs and max_cycle=2 0.02 s, on the same VM.  Its k x k
+# tables are an assignment's size, so it refuses k > ASSIGNMENT_MAX_N too:
+# 2,000 pairs at max_cycle=2 raised peak RSS by 333 MiB, a solve of 2,000
+# flat "sq" cells by 302 MiB.
 _MONOTONE_MAX_WORK = 10**8
 
 _EUCLID_SCALE = 1 << 40  # fixed-precision grid for the irrational kind
@@ -577,9 +580,11 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
     k = len(pair_list)
     longest = min(max_cycle, k)
     # k^3 per walk table up to longest - 1 steps, then k^2 for the closed walks
-    if longest > 1 and (longest - 2) * k**3 + k * k > _MONOTONE_MAX_WORK:
+    steps = (longest - 2) * k**3 + k * k
+    if longest > 1 and (k > ASSIGNMENT_MAX_N or steps > _MONOTONE_MAX_WORK):
         raise InstanceTooLargeError(
-            f"{k} pairs at max_cycle={max_cycle} exceed the guard {_MONOTONE_MAX_WORK}"
+            f"{k} pairs at max_cycle={max_cycle} exceed the guards of "
+            f"{ASSIGNMENT_MAX_N} pairs and {_MONOTONE_MAX_WORK} steps"
         )
     _check_kind(kind)
     if longest < 2:

@@ -732,6 +732,18 @@ def test_render_refuses_a_cell_size_that_overflows(capsys, tmp_path, request, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fixture", ["p42", "plane"])
+def test_render_refuses_a_cell_size_drawn_to_nothing(capsys, tmp_path, request, fixture):
+    out = tmp_path / "diagram.svg"
+    argv = ["render", request.getfixturevalue(fixture), "--format", "svg",
+            "--cell-size", "1e-300", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cell size too small: 1e-300 draws a cell under 0.01 wide\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "fixture, fmt", [("p42", "ascii"), ("p42", "tikz"), ("plane", "tikz")]
 )

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import sys
 import types
 
@@ -110,6 +112,36 @@ def test_render_refuses_non_finite_coordinates(p):
     # the largest coordinate of one square, 1.5 cells, stays finite
     text = render(validate_array([1], 1), RenderSpec(format="svg", cell_size=1e308))
     assert "inf" not in text and "nan" not in text
+
+
+@pytest.mark.parametrize(
+    "p, sigma", [(P42, SWAP), (PLANE, Permutation.from_one_line("1 3 2"))],
+    ids=["flat", "plane"],
+)
+def test_svg_refuses_a_cell_drawn_to_nothing(p, sigma):
+    # coordinates keep two decimals, so a cell's least extent (a square's
+    # side, a cube face's width, cos 30 deg of the side) must be 0.01
+    with pytest.raises(ValueError, match="cell size too small: 1e-300 draws"):
+        render(p, RenderSpec(format="svg", cell_size=1e-300))
+    size = 0.01 if p.m == 1 else 0.01 / math.cos(math.radians(30))
+    while True:  # the smallest size admitted, up from the float nearest
+        try:
+            texts = [render(p, RenderSpec("svg", size), s) for s in (None, sigma)]
+            break
+        except ValueError:
+            size = math.nextafter(size, 1)
+    assert size < 0.0116
+    with pytest.raises(ValueError, match="cell size too small"):
+        render(p, RenderSpec("svg", math.nextafter(size, 0)))
+    for text in texts:
+        view = [float(x) for x in re.search(r'viewBox="([^"]*)"', text)[1].split()]
+        assert view[2] > 0 and view[3] > 0
+        sides = re.findall(r' (?:width|height)="([^"]*)"', text)
+        assert len(sides) == (2 * p.n if p.m == 1 else 0)
+        assert all(float(side) > 0 for side in sides)
+        for points in re.findall(r'points="([^"]*)"', text):
+            xs, ys = zip(*(map(float, pt.split(",")) for pt in points.split()))
+            assert len(set(xs)) > 1 and len(set(ys)) > 1
 
 
 def test_unsupported_combinations():

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import time
 import tracemalloc
@@ -239,10 +238,11 @@ def test_orbit_key_is_invariant_under_relabelling_axes(instance):
     m, p, sigma, tau = instance
     pair = [sigma, _conjugate(tau, sigma)]
     src, image = measure_of(p), measure_of(symmetrize(p, tau))
-    keys = theorems._orbit_keys(m, pair)
-    assert keys(src)[0] == keys(image)[1]
-    keys = theorems._orbit_keys(m, pair)  # meet the image first
-    assert keys(image)[1] == keys(src)[0]
+    keys = theorems._orbit_keys(m, pair)  # tau may fix p: then image == src
+    src_row, image_row = keys([src, image])
+    assert src_row[0] == image_row[1]
+    image_row, src_row = keys([image, src])  # meet the image first
+    assert image_row[1] == src_row[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,38 +262,8 @@ def test_orbit_keys_differ_across_orbits(instance, data):
         for t in group
     )
     keys = theorems._orbit_keys(m, [sigma, rho])
-    assert (keys(measure_of(p))[0] == keys(measure_of(q))[1]) == same_orbit
-
-
-def test_orbit_keys_hold_nothing_once_a_layer_is_met():
-    # an orbit lies in one n, so the key state lives for one n
-    keys = theorems._orbit_keys(2, all_permutations(3))
-    known = inspect.getclosurevars(keys).nonlocals["known"]
-    for n in range(1, 8):
-        for p in enumerate_partitions(2, n):
-            keys(measure_of(p))
-        assert known == {}
-
-
-def test_orbit_keys_number_the_representatives_of_one_layer_only():
-    keys = theorems._orbit_keys(2, all_permutations(3))
-    reps = inspect.getclosurevars(keys).nonlocals["reps"]
-    for n in range(1, 8):
-        first, *rest = (measure_of(p) for p in enumerate_partitions(2, n))
-        keys(first)
-        assert list(reps) == [first]  # layer n - 1's numbering is gone
-        for src in rest:
-            keys(src)
-        assert all(len(rep) == n for rep in reps)
-
-
-def test_orbit_keys_of_a_partition_met_twice_are_its_first_keys():
-    keys = theorems._orbit_keys(3, involutions(4))
-    for n in range(1, 7):
-        layer = [measure_of(p) for p in enumerate_partitions(3, n)]
-        first = [keys(src) for src in layer]
-        # each again, last first: most were never representatives
-        assert [keys(src) for src in reversed(layer)] == first[::-1]
+    p_row, q_row = keys([measure_of(p), measure_of(q)])
+    assert (p_row[0] == q_row[1]) == same_orbit
 
 
 def test_the_orbit_table_holds_small_ints():
@@ -323,6 +293,32 @@ def test_a_sweep_writes_once_per_partition():
     assert "".join(calls) == unwritten.to_jsonl()
     assert len(unwritten.lines) == len(partitions) * len(sigmas)
     assert report.summary == unwritten.summary and report.lines == ()
+
+
+@pytest.mark.parametrize(
+    "theorem, sigmas",
+    [("cor", all_permutations(3)), ("main", involutions(3))],
+    ids=["cor-all", "main-involutions"],
+)
+def test_a_sweep_solves_a_layer_before_writing_it(monkeypatch, theorem, sigmas):
+    # each n runs in three passes: key its instances, solve one per orbit,
+    # then write its lines; so no line of n is written before its last solve
+    events = []
+    record, counts = theorems._CLAIMS[theorem]
+
+    def recording(p, *args):
+        events.append(("solve", p.n))
+        return record(p, *args)
+
+    def write(text):
+        events.append(("write", json.loads(text.split("\n")[0]).get("n")))
+
+    monkeypatch.setitem(theorems._CLAIMS, theorem, (recording, counts))
+    theorems._sweep(theorem, 2, 5, sigmas, "sq", None, write)
+    assert events[-1] == ("write", None)  # the summary, which has no n
+    for n in range(1, 6):
+        solves = [i for i, event in enumerate(events) if event == ("solve", n)]
+        assert solves and solves[-1] < events.index(("write", n))
 
 
 @pytest.mark.parametrize(
@@ -558,7 +554,7 @@ def test_the_orbit_table_guard_refuses_before_any_entry(monkeypatch):
     message = "m=7 with 40320 sigmas needs 1625702400 orbit conjugates"
     start = time.perf_counter()
     with pytest.raises(InstanceTooLargeError, match=message):
-        theorems._orbit_keys(7, sigmas)
+        theorems._check_orbit_table(7, sigmas)
     with pytest.raises(InstanceTooLargeError, match=message):
         verify_theorem_main(7, 1, sigmas)
     assert time.perf_counter() - start < 1

@@ -749,8 +749,9 @@ def test_monotone_guards(monkeypatch):
     assert is_c_cyclically_monotone(pairs, "sq", 2) == (True, None)
     assert is_c_cyclically_monotone({((0, 0), (0, 0))}, "sq", 5) == (True, None)
     assert is_c_cyclically_monotone(pairs, "l1", 10**9) == (True, None)
-    # one guard on the steps, (min(max_cycle, k) - 2) * k^3 + k^2, before any
-    # cost; one pair fewer passes it and reaches the cost build
+    # guards on the pairs, k <= ASSIGNMENT_MAX_N, for the k x k tables, and
+    # on the steps, (min(max_cycle, k) - 2) * k^3 + k^2, before any cost; one
+    # pair fewer passes them and reaches the cost build
     class CostBuilt(Exception):
         pass
 
@@ -758,11 +759,11 @@ def test_monotone_guards(monkeypatch):
         raise CostBuilt
 
     monkeypatch.setattr(transport, "cost_matrix", cost_matrix)
-    wide = {((i, 0), (i, 1)) for i in range(10_001)}  # 10001^2 > 10^8
-    with pytest.raises(InstanceTooLargeError, match="10001 pairs at max_cycle=2"):
+    wide = {((i, 0), (i, 1)) for i in range(2001)}  # 2001 > ASSIGNMENT_MAX_N
+    with pytest.raises(InstanceTooLargeError, match="2001 pairs at max_cycle=2"):
         is_c_cyclically_monotone(wide, "sq", 2)
     with pytest.raises(CostBuilt):
-        is_c_cyclically_monotone(set(list(wide)[1:]), "sq", 2)  # 10000^2 = 10^8
+        is_c_cyclically_monotone(set(list(wide)[1:]), "sq", 2)
     deep = {((i, 0), (i, 1)) for i in range(369)}  # 2 * 369^3 + 369^2 > 10^8
     with pytest.raises(InstanceTooLargeError, match="369 pairs at max_cycle=4"):
         is_c_cyclically_monotone(deep, "sq", 4)
