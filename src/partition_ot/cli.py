@@ -32,12 +32,7 @@ from .partitions import (
     to_json,
 )
 from .render import FORMATS, RenderSpec, render
-from .theorems import (
-    _check_sweep,
-    _sweep,
-    check_sweep_size,
-    format_summary,
-)
+from .theorems import _check_sweep, _sweep, format_summary
 from .transport import (
     BRUTE_FORCE_MAX,
     COST_KINDS,
@@ -131,7 +126,7 @@ def build_parser():
         help="one-line permutation; highlights shared vs moved cells",
     )
     p_r.add_argument(
-        "--cell-size", type=float, default=24.0,
+        "--cell-size", type=float, default=RenderSpec().cell_size,
         help="side of one cell in SVG units, svg only (default: 24)",
     )
     return parser
@@ -226,9 +221,8 @@ def cmd_wasserstein(args):
 def cmd_verify(args):
     if args.m is None or args.n_max is None:
         raise ValueError("verify needs --m and --n-max")
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    check_sweep_size(args.m)  # before the named sigma sets list S_{m+1}
+    # no sigmas yet: refuse what is refused before the named sets list S_{m+1}
+    _check_sweep(args.theorem, args.m, args.n_max, (), args.cost, args.max_cells)
     sigmas = _sigma_set(args.sigma or ["all"], args.m + 1)
     # every refusal before the output opens: a refused sweep writes nothing
     _check_sweep(args.theorem, args.m, args.n_max, sigmas, args.cost, args.max_cells)

@@ -19,6 +19,8 @@ relabelling the axes, and one outcome table serializes each distinct
 result once for all its lines (`_sweep`).  Each n is one layer, run in
 three passes: key its instances by orbit, solve one representative per
 orbit from one cost table over the layer's cells, and write its lines.
+One gate (`_check_sweep`) refuses a sweep before any of that starts, for
+the library and the command line alike.
 """
 
 from __future__ import annotations
@@ -60,9 +62,7 @@ SWEEP_MAX_CONJUGATES = 32_000_000
 
 
 HybridPlanResult = namedtuple(
-    "HybridPlanResult",
-    "valid cost optimal_cost matches_optimum matching",
-    defaults=(None,),
+    "HybridPlanResult", "valid cost optimal_cost matches_optimum matching"
 )
 HybridPlanResult.__doc__ = (
     "Outcome of the fix-common, permute-the-rest candidate matching."
@@ -161,27 +161,26 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
     return _sweep("cor", m, n_max, sigmas, kind, max_cells)
 
 
-def check_sweep_size(m):
-    """Refuse a sweep of dimension m above `SWEEP_MAX_M`."""
+def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
+    """Refuse a sweep before anything is listed, built, opened or written.
+
+    The one sweep gate, in this order: "main" under "euclid", n_max below
+    1, m above `SWEEP_MAX_M`, the enumeration guard at n_max (so every
+    smaller n passes it too), an orbit table of more than
+    `SWEEP_MAX_CONJUGATES` entries, and a sigma of the wrong size.  Called
+    with no sigmas, it runs the checks that come before a named sigma set
+    is listed.
+    """
+    if theorem == "main":
+        _check_hybrid_kind(kind)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m > SWEEP_MAX_M:
         raise InstanceTooLargeError(
             f"m={m} exceeds the sweep guard {SWEEP_MAX_M}: "
             f"orbits need all (m + 1)! axis relabellings"
         )
-
-
-def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
-    """Raise what `_sweep` refuses, before it builds or writes anything."""
-    if theorem == "main":
-        _check_hybrid_kind(kind)
-    if n_max >= 1:  # enumeration errors first; every n below n_max passes too
-        _check_guard(m, n_max, max_cells)
-        _check_orbit_table(m, sigmas)
-
-
-def _check_orbit_table(m, sigmas):
-    """Refuse sigmas that cannot act on m + 1 axes, or too many conjugates."""
-    check_sweep_size(m)
+    _check_guard(m, n_max, max_cells)
     conjugates = math.factorial(m + 1) * len(sigmas)
     if conjugates > SWEEP_MAX_CONJUGATES:
         raise InstanceTooLargeError(

@@ -127,12 +127,12 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     """Costs between all pairs of two point tuples of equal dimension.
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
-    The exact kinds need int coordinates, which give int costs.
+    The exact kinds need int, non-bool coordinates, which give int costs.
     """
     _check_kind(kind)
     if kind != EUCLIDEAN:
         kinds = set(map(type, itertools.chain(*src, *dst)))
-        if not all(issubclass(t, int) for t in kinds):
+        if bool in kinds or not all(issubclass(t, int) for t in kinds):
             raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
     dims = set(map(len, itertools.chain(src, dst)))
     if len(dims) > 1:

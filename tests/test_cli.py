@@ -569,7 +569,7 @@ def test_verify_rejects_nonpositive_n_max(capsys):
     assert cli.main(["verify", "--theorem", "cor", "--m", "2", "--n-max", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --n-max must be >= 1, got 0\n"
+    assert captured.err == "error: n_max must be >= 1, got 0\n"
 
 
 def test_verify_checks_the_enumeration_guard_before_enumerating(capsys, monkeypatch):
@@ -619,7 +619,7 @@ def test_verify_at_the_sweep_guard(capsys):
     assert (summary["records"], summary["violations"]) == (9, 0)
 
 
-@pytest.mark.parametrize(
+REFUSED_SWEEPS = pytest.mark.parametrize(
     "argv, message",
     [
         (["--m", "8", "--n-max", "1", "--sigma", "identity"],
@@ -632,21 +632,28 @@ def test_verify_at_the_sweep_guard(capsys):
         (["--m", "2", "--n-max", "13"],
          "n=13 exceeds the enumeration guard 12 for m=2; "
          "raise the max-cells limit to override (see --max-cells)"),
-        (["--m", "2", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+        (["--m", "2", "--n-max", "0"], "n_max must be >= 1, got 0"),
     ],
     ids=["sweep-size", "orbit-table", "sigma-size", "enumeration", "n-max"],
 )
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_a_refused_sweep_writes_nothing(capsys, tmp_path, monkeypatch, argv, message,
-                                        to_file):
+
+
+def _refuse_to_build(monkeypatch):
     from partition_ot import theorems
 
     def refuse(*args, **kwargs):
         raise AssertionError("built an orbit table entry or a partition")
 
-    # the named sigma sets are listed first; the table and the sweep never start
     monkeypatch.setattr(theorems, "_cell_action", refuse)
     monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+
+
+@REFUSED_SWEEPS
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_a_refused_sweep_writes_nothing(capsys, tmp_path, monkeypatch, argv, message,
+                                        to_file):
+    # the named sigma sets are listed first; the table and the sweep never start
+    _refuse_to_build(monkeypatch)
     out = tmp_path / "report.jsonl"
     extra = ["--out", str(out)] if to_file else []
     assert cli.main(["verify", "--theorem", "cor", *argv, *extra]) == 2
@@ -654,6 +661,23 @@ def test_a_refused_sweep_writes_nothing(capsys, tmp_path, monkeypatch, argv, mes
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+@REFUSED_SWEEPS
+def test_a_refused_library_sweep_raises_what_verify_prints(monkeypatch, argv, message):
+    from partition_ot import (
+        EnumerationTooLargeError,
+        PartitionOTError,
+        verify_theorem_cor,
+    )
+
+    args = cli.build_parser().parse_args(["verify", "--theorem", "cor", *argv])
+    sigmas = cli._sigma_set(args.sigma or ["all"], args.m + 1)
+    _refuse_to_build(monkeypatch)
+    with pytest.raises((PartitionOTError, ValueError)) as info:  # as `main` catches
+        verify_theorem_cor(args.m, args.n_max, sigmas)
+    hint = " (see --max-cells)" if info.type is EnumerationTooLargeError else ""
+    assert f"{info.value}{hint}" == message
 
 
 def test_a_refused_euclid_main_sweep_leaves_its_out_file_alone(capsys, tmp_path):

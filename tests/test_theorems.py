@@ -554,7 +554,7 @@ def test_the_orbit_table_guard_refuses_before_any_entry(monkeypatch):
     message = "m=7 with 40320 sigmas needs 1625702400 orbit conjugates"
     start = time.perf_counter()
     with pytest.raises(InstanceTooLargeError, match=message):
-        theorems._check_orbit_table(7, sigmas)
+        theorems._check_sweep("cor", 7, 1, sigmas, "sq", None)
     with pytest.raises(InstanceTooLargeError, match=message):
         verify_theorem_main(7, 1, sigmas)
     assert time.perf_counter() - start < 1
@@ -563,7 +563,7 @@ def test_the_orbit_table_guard_refuses_before_any_entry(monkeypatch):
 def test_the_orbit_table_guard_admits_the_m7_involution_sweeps():
     sigmas = involutions(8)
     assert len(sigmas) * 40320 <= theorems.SWEEP_MAX_CONJUGATES
-    theorems._check_orbit_table(7, sigmas)  # checked, not built
+    theorems._check_sweep("cor", 7, 1, sigmas, "sq", None)  # checked, not built
 
 
 def test_sweep_checks_the_enumeration_guard_at_n_max_first(monkeypatch):
@@ -575,8 +575,23 @@ def test_sweep_checks_the_enumeration_guard_at_n_max_first(monkeypatch):
     for sweep in (verify_theorem_main, verify_theorem_cor):
         with pytest.raises(InstanceTooLargeError, match="n=13 exceeds the enumeration"):
             sweep(2, 13, involutions(3))
-        # no n to sweep: the empty report, with no guard to pass
-        assert sweep(2, 0, involutions(3)).summary["records"] == 0
+        # no n to sweep is refused, as enumerate_partitions refuses n < 1
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            sweep(2, 0, involutions(3))
+
+
+@pytest.mark.parametrize("m, size", [(2, 2), (8, 9)], ids=["m2-size2", "m8-size9"])
+def test_a_sweep_of_no_n_is_refused_before_its_orbit_table(monkeypatch, m, size):
+    # a sigma of the wrong size, or m past the sweep guard: n_max < 1 is
+    # refused first, and no relabelling is listed
+    def refuse(*args):
+        raise AssertionError("built an orbit table entry")
+
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+        verify_theorem_cor(m, 0, [Permutation.identity(size)])
+    assert time.perf_counter() - start < 1
 
 
 def test_a_sweep_takes_permutations_built_from_lists():

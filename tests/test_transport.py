@@ -224,6 +224,12 @@ def test_exact_costs_refuse_non_int_coordinates(kind):
     with pytest.raises(NonIntegerCostsError):
         optimal_total(((0, 0), (1.0, 0)), ((0, 0), (0, 1)), kind)
     assert cost_matrix([(0.5, 0)], [(0, 0)], "euclid").values == ((0.5,),)
+    # bools are ints to Python, but no boundary takes them as coordinates
+    with pytest.raises(NonIntegerCostsError, match="requires integer coordinates"):
+        cost_matrix([(True, 0)], [(0, 0)], kind)
+    with pytest.raises(NonIntegerCostsError):
+        optimal_total(((True, 0), (0, 1)), ((0, 0), (0, 1)), kind)
+    assert cost_matrix([(True, 0)], [(0, 0)], "euclid").values == ((1.0,),)
 
 
 def test_integer_cost_matrix_keeps_integer_entries():
@@ -779,6 +785,8 @@ def test_monotone_guards(monkeypatch):
 def test_monotone_exact_kinds_need_integer_coordinates(kind):
     with pytest.raises(NonIntegerCostsError):
         is_c_cyclically_monotone({((0.5, 0), (0, 1)), ((0, 1), (0, 0))}, kind, 2)
+    with pytest.raises(NonIntegerCostsError):
+        is_c_cyclically_monotone({((True, 0), (0, 1)), ((0, 1), (0, 0))}, kind, 2)
 
 
 def _assert_matches_reference(pairs, kind, max_cycle):
