@@ -19,6 +19,9 @@ relabelling the axes, and one outcome table serializes each distinct
 result once for all its lines (`_sweep`).  Each n is one layer, run in
 three passes: key its instances by orbit, solve one representative per
 orbit from one cost table over the layer's cells, and write its lines.
+Under the exact kinds a "cor" orbit takes the outcome of its sigma^-1
+twin when that has one, and "l1" solves each distinct moved-cell matrix
+of a layer once.
 One gate (`_check_sweep`) refuses a sweep before any of that starts, for
 the library and the command line alike.
 """
@@ -36,6 +39,7 @@ from .measures import measure_of
 from .partitions import (
     _cell_action,
     _check_guard,
+    _is_int,
     apply_permutation,
     enumerate_partitions,
 )
@@ -43,7 +47,7 @@ from .transport import (
     EUCLIDEAN,
     POINT_COSTS,
     SQUARED_EUCLIDEAN,
-    _cost_table,
+    _CostTable,
     distance_of_total,
     optimal_total,
     wasserstein,  # unused here; bench/test_bench.py pins this binding
@@ -164,15 +168,18 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
 def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     """Refuse a sweep before anything is listed, built, opened or written.
 
-    The one sweep gate, in this order: "main" under "euclid", n_max below
-    1, m above `SWEEP_MAX_M`, the enumeration guard at n_max (so every
-    smaller n passes it too), an orbit table of more than
-    `SWEEP_MAX_CONJUGATES` entries, and a sigma of the wrong size.  Called
-    with no sigmas, it runs the checks that come before a named sigma set
-    is listed.
+    The one sweep gate, in this order: "main" under "euclid", an m or
+    n_max that is no int (a bool included), n_max below 1, m above
+    `SWEEP_MAX_M`, the enumeration guard at n_max (so every smaller n
+    passes it too), an orbit table of more than `SWEEP_MAX_CONJUGATES`
+    entries, and a sigma of the wrong size.  Called with no sigmas, it
+    runs the checks that come before a named sigma set is listed.
     """
     if theorem == "main":
         _check_hybrid_kind(kind)
+    for name, value in (("m", m), ("n_max", n_max)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m > SWEEP_MAX_M:
@@ -206,9 +213,17 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     claim runs once per orbit, and an orbit lies in one n.  Each n runs in
     three passes: key, solve and write.  Its solves look their matrices up
     in one cost table over the union of its partitions' cells, a set that
-    every sigma maps onto itself.  Each distinct outcome, the claim's
-    fields, is serialized once into a line template that its instances
-    fill with their n, partition and sigma.
+    every sigma maps onto itself; under "l1" the table also keeps each
+    matrix's total, so each distinct one is solved once per n.  Each
+    distinct outcome, the claim's fields, is serialized once into a line
+    template that its instances fill with their n, partition and sigma.
+
+    Under "sq" and "l1", (p, sigma) and (p, sigma^-1) carry equal "cor"
+    fields: sigma^-1 is an isometry, so W(p, sigma p) = W(p, sigma^-1 p),
+    and sigma fixes p exactly when sigma^-1 does.  So a "cor" orbit whose
+    twin, keyed in its representative's row at sigma^-1's index, already
+    has an outcome takes it unsolved.  "euclid" solves both, as its float
+    totals need not agree in the last bit.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
@@ -216,6 +231,15 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     lines = []  # kept only when no `write` is given
     write = write or (lambda text: lines.extend(text.split("\n")[:-1]))
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
+    # where each sigma's twin sits in a key row: sigma^-1 where the claim
+    # has equal fields on (p, sigma) and (p, sigma^-1), else sigma itself
+    twin_at = list(range(len(sigmas)))
+    if theorem == "cor" and kind != EUCLIDEAN:
+        at = {s.images: i for i, s in enumerate(sigmas)}
+        for i, s in enumerate(sigmas):
+            # sigma^-1 lists the axes in the order of their images
+            inverse = sorted(range(1, m + 2), key=lambda k: s.images[k - 1])
+            twin_at[i] = at.get(tuple(inverse), i)
     # (line template, fields, instances per sigma) per repr of the fields'
     # values: one sweep has one record function, so the names and their
     # order are fixed; repr tells apart what json prints apart (True and 1,
@@ -226,15 +250,20 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
         parts = enumerate_partitions(m, n, max_cells=max_cells)
         # key the layer; each key's first instance represents its orbit
         rows = keys([measure_of(p) for p in parts])
-        firsts = {}  # orbit key -> its first instance (p, sigma index)
+        firsts = {}  # orbit key -> its first instance (p, key row, sigma index)
         for p, row in zip(parts, rows):
             for i, key in enumerate(row):
                 if key not in firsts:
-                    firsts[key] = p, i
-        # solve the representatives, in enumeration order
-        costs = _cost_table(sorted({x for p in parts for x in p.cells}), kind)
+                    firsts[key] = p, row, i
+        # solve the representatives, in enumeration order, each unless the
+        # orbit of its twin (p, sigma^-1) already has an outcome
+        costs = _CostTable(sorted({x for p in parts for x in p.cells}), kind)
         orbits = {}  # orbit key -> its outcome
-        for key, (p, i) in firsts.items():
+        for key, (p, row, i) in firsts.items():
+            twin = orbits.get(row[twin_at[i]])
+            if twin is not None:
+                orbits[key] = twin
+                continue
             fields = record(p, sigmas[i], kind, costs)
             fkey = repr(tuple(fields.values()))
             if fkey not in outcomes:
@@ -372,8 +401,12 @@ def _cor_record(p, sigma, kind, costs=None):
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     total = optimal_total(src, dst, kind, costs)
-    w = distance_of_total(total, len(src), kind)
-    w_json = w if kind == EUCLIDEAN else _frac_json(w)
+    n = len(src)
+    if kind == EUCLIDEAN:
+        w_json = total / n
+    else:  # the Fraction total / n in lowest terms
+        g = math.gcd(total, n)
+        w_json = [total // g, n // g]
     # exact for "euclid" too: a float sum of square roots of non-negative
     # ints is 0 only when every term is
     w_zero = total == 0

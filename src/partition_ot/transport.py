@@ -16,7 +16,7 @@ Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 Cost entries are type-checked once, when a `CostMatrix` is built, and no
 solve scans them again.  A caller that solves many small problems over one
 point set, such as a sweep layer, builds that set's costs once
-(`_cost_table`) and hands the table to `optimal_total`, which then looks
+(`_CostTable`) and hands the table to `optimal_total`, which then looks
 each matrix up instead of building it.
 """
 
@@ -166,25 +166,35 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     return CostMatrix._unchecked(kind, tuple(rows))
 
 
-def _cost_table(points, kind):
+class _CostTable:
     """A cost source that looks matrices up instead of building them.
 
     The costs between all of `points` are built once, by `cost_matrix`.
     `costs(src, dst)` then returns `cost_matrix(src, dst, kind)` for any
     src and dst drawn from `points`, entry for entry: one looked-up row per
     source point, cut to the target columns.
-    """
-    rows = cost_matrix(points, points, kind).values
-    row_of = dict(zip(points, rows)).__getitem__
-    col_of = {x: j for j, x in enumerate(points)}.__getitem__
 
-    def costs(src, dst):
-        cols = tuple(map(col_of, dst))
+    `totals` maps each "l1" matrix that `optimal_total` solved from the
+    table, by its values, to its certified total.  The moved-cell matrices
+    of a sweep layer repeat, so each distinct one is solved once, and the
+    memo goes with the table: at most a few thousand small matrices.
+    """
+
+    __slots__ = ("kind", "row_of", "col_of", "totals")
+
+    def __init__(self, points, kind):
+        rows = cost_matrix(points, points, kind).values
+        self.kind = kind
+        self.row_of = dict(zip(points, rows)).__getitem__
+        self.col_of = {x: j for j, x in enumerate(points)}.__getitem__
+        self.totals = {}
+
+    def __call__(self, src, dst):
+        cols = tuple(map(self.col_of, dst))
         # an itemgetter of one index returns that entry, not a 1-tuple
         cut = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-        return CostMatrix._unchecked(kind, tuple(map(cut, map(row_of, src))))
-
-    return costs
+        rows = map(cut, map(self.row_of, src))
+        return CostMatrix._unchecked(self.kind, tuple(rows))
 
 
 def _check_kind(kind):
@@ -481,9 +491,11 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
     Every solve checks its dual certificate.  "euclid" adds the lex step
     of `solve_assignment`, as its float total depends on the optimum summed.
     Returns an int for the exact kinds and a float for "euclid".  The solve
-    takes its matrix from `costs(src, dst)`, a table from `_cost_table`
+    takes its matrix from `costs(src, dst)`, a table from `_CostTable`
     built for `kind` and holding both tuples' points, when one is given,
-    and from `cost_matrix` otherwise.
+    and from `cost_matrix` otherwise.  Under "l1" a table also remembers
+    each matrix's total (`_CostTable.totals`), so a matrix cut twice from
+    one table is solved once; equal matrices have equal optima.
     """
     _check_kind(kind)
     _check_assignment_size(len(src))
@@ -500,7 +512,13 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
     c = cost_matrix(src, dst, kind) if costs is None else costs(src, dst)
     if kind == EUCLIDEAN:
         return solve_assignment(c).total
-    return _certified_solve(c)[1].total
+    if kind != L1 or costs is None:
+        return _certified_solve(c)[1].total
+    # a table's moved-cell matrices repeat: each distinct one is solved once
+    total = costs.totals.get(c.values)
+    if total is None:
+        total = costs.totals[c.values] = _certified_solve(c)[1].total
+    return total
 
 
 def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):

@@ -207,28 +207,30 @@ def _conjugate(tau, sigma):
     return compose(compose(tau, sigma), inverse(tau))
 
 
+def _orbit(group, src, sigma):
+    """The orbit of the instance (src, sigma) under relabelling the axes."""
+    return frozenset(
+        (tuple(sorted(map(tau.apply_to_cell, src))), _conjugate(tau, sigma).images)
+        for tau in group
+    )
+
+
 def _orbits(m, n_max, sigmas):
     """Orbits met by a sweep's instances, by brute force over S_{m+1}.
 
-    Maps each orbit to (n, k): its partitions' total and the number of
-    cells that sigma moves, the same on every instance of the orbit.
+    Maps each orbit to (n, k, twin): its partitions' total, the number of
+    cells that sigma moves, the same on every instance of the orbit, and
+    the orbit of (p, sigma^-1) for any of its instances (p, sigma).
     """
     group = all_permutations(m + 1)
     orbits = {}
     for n in range(1, n_max + 1):
         for p in enumerate_partitions(m, n):
             src = measure_of(p)
-            images = [
-                tuple(sorted(tau.apply_to_cell(cell) for cell in src))
-                for tau in group
-            ]
             for sigma in sigmas:
-                key = frozenset(
-                    (image, _conjugate(tau, sigma).images)
-                    for tau, image in zip(group, images)
-                )
                 moved = set(src) - {sigma.apply_to_cell(cell) for cell in src}
-                orbits[key] = (n, len(moved))
+                twin = _orbit(group, src, inverse(sigma))
+                orbits[_orbit(group, src, sigma)] = (n, len(moved), twin)
     return orbits
 
 
@@ -327,31 +329,85 @@ def test_a_sweep_solves_a_layer_before_writing_it(monkeypatch, theorem, sigmas):
         (verify_theorem_main, 2, 5, involutions(3), "sq"),
         (verify_theorem_cor, 3, 4, all_permutations(4), "l1"),
         (verify_theorem_cor, 2, 4, all_permutations(3), "euclid"),
+        (verify_theorem_cor, 2, 5, all_permutations(3), "sq"),
     ],
 )
 def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, kind):
-    # One solve per orbit that moves cells: an orbit whose image is its
-    # diagram has optimum 0 and no solve.  "l1" solves the k x k problem
-    # on the k moved cells, the other kinds the full n x n problem.  Every
-    # solve, value-only or lex-smallest, runs the certified core, so it is
-    # recorded there.
-    solved = []
+    # One record per orbit, and a cor orbit under an exact kind none when
+    # its sigma^-1 twin has one: (p, sigma) and (p, sigma^-1) have equal
+    # fields.  An orbit whose image is its diagram has optimum 0 and no
+    # solve.  "l1" solves the k x k problem on the k moved cells, once per
+    # distinct matrix of a layer; the other kinds the full n x n problem,
+    # once per recorded orbit that moves cells.
+    # Every solve, value-only or lex-smallest, runs the certified core, so
+    # it is recorded there, under the n of the record that made it.
+    theorem = "cor" if sweep is verify_theorem_cor else "main"
+    record, counts = theorems._CLAIMS[theorem]
+    recorded, solved = [], []
 
-    def recording(c):
+    def recording_record(p, sigma, *args):
+        recorded.append((p, sigma))
+        return record(p, sigma, *args)
+
+    def recording_solve(c):
         costs, res = solve(c)
-        solved.append((c, res))
+        solved.append((recorded[-1][0].n, c, res))
         return costs, res
 
     solve = transport._certified_solve
-    monkeypatch.setattr(transport, "_certified_solve", recording)
+    monkeypatch.setattr(transport, "_certified_solve", recording_solve)
+    monkeypatch.setitem(theorems._CLAIMS, theorem, (recording_record, counts))
     report = sweep(m, n_max, sigmas, kind=kind)
+    assert all(check_certificate(c, res) for _, c, res in solved)
+
     orbits = _orbits(m, n_max, sigmas)
-    moved = [(n, k) for n, k in orbits.values() if k]
-    assert len(solved) == len(moved) < len(orbits) < report.summary["records"]
-    assert all(check_certificate(c, res) for c, res in solved)
-    expected = sorted(k if kind == "l1" else n for n, k in moved)
-    assert sorted(c.rows for c, _ in solved) == expected
-    assert any(k < n for n, k in moved)
+    group = all_permutations(m + 1)
+    made = [_orbit(group, measure_of(p), sigma) for p, sigma in recorded]
+    assert len(set(made)) == len(made) < report.summary["records"]
+    twins = [(o, orbits[o][2]) for o in orbits if orbits[o][2] != o]
+    assert twins or theorem == "main"
+    if theorem == "cor" and kind != "euclid":
+        assert all(o in made or twin in made for o, twin in twins)
+        assert not any(o in made and twin in made for o, twin in twins)
+    else:
+        assert set(made) == orbits.keys()  # an orbit and its twin alike
+    moved = [orbits[o][:2] for o in made if orbits[o][1]]
+    if kind == "l1":
+        # no layer solves one matrix twice
+        layer_matrices = [(n, c.values) for n, c, _ in solved]
+        assert len(set(layer_matrices)) == len(layer_matrices)
+        assert {(n, c.rows) for n, c, _ in solved} == set(moved)
+        assert len(solved) < len(moved)
+        assert any(k < n for n, k in moved)
+    else:
+        assert sorted(c.rows for _, c, _ in solved) == sorted(n for n, _ in moved)
+
+
+def test_the_cor_solid_sweep_records_each_twin_class_and_solves_each_matrix_once(
+    monkeypatch,
+):
+    # the benchmark's sweep_cor_solid input: its 13128 instances lie in 673
+    # orbits, 539 of them moved, which took one record call and one solve
+    # each; 579 are left once twins merge, and their moved-cell matrices
+    # take 185 distinct values within their layers
+    record, counts = theorems._CLAIMS["cor"]
+    calls = []
+
+    def recording_record(*args):
+        calls.append("record")
+        return record(*args)
+
+    def recording_solve(c):
+        calls.append("solve")
+        return solve(c)
+
+    solve = transport._certified_solve
+    monkeypatch.setattr(transport, "_certified_solve", recording_solve)
+    monkeypatch.setitem(theorems._CLAIMS, "cor", (recording_record, counts))
+    text = verify_theorem_cor(3, 7, all_permutations(4), kind="l1").to_jsonl()
+    assert (calls.count("record"), calls.count("solve")) == (579, 185)
+    digest = "d94fa106f2de7eeb59117b6a202b9ed2cf0adec63a6bd7d708a09f1cf71f7ddf"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def _full_solve_fields(theorem, p, sigma, kind):
@@ -396,6 +452,9 @@ REPEATED = [Permutation.from_one_line(s) for s in ("2 3 1", "1 2 3", "1 3 2", "1
 
 # The main sweeps over all sigma hold 3-cycles, whose invalid candidates
 # serialize a null hybrid_cost; the euclid sweeps serialize float costs.
+# The m = 3 cor sweeps pair each sigma with its inverse: the exact kinds
+# write one outcome per twin class, and l1 solves each distinct moved-cell
+# matrix of a layer once, where the reference solves every instance.
 @pytest.mark.parametrize(
     "theorem, m, n_max, sigmas, kind",
     [
@@ -403,9 +462,13 @@ REPEATED = [Permutation.from_one_line(s) for s in ("2 3 1", "1 2 3", "1 3 2", "1
         ("cor", 1, 12, all_permutations(2), "euclid"),
         ("main", 2, 8, NOT_CLOSED, "sq"),
         ("cor", 2, 6, REPEATED, "euclid"),
+        ("cor", 3, 5, all_permutations(4), "sq"),
+        ("cor", 3, 5, all_permutations(4), "l1"),
+        ("cor", 3, 5, all_permutations(4), "euclid"),
     ],
     ids=["main-m2-all-sq", "cor-m1-euclid", "main-m2-not-closed-sq",
-         "cor-m2-repeated-sigma-euclid"],
+         "cor-m2-repeated-sigma-euclid", "cor-m3-all-sq", "cor-m3-all-l1",
+         "cor-m3-all-euclid"],
 )
 def test_orbit_cache_matches_the_uncached_sweep(theorem, m, n_max, sigmas, kind):
     sweep = verify_theorem_main if theorem == "main" else verify_theorem_cor
@@ -501,7 +564,7 @@ def test_a_layer_cost_table_gives_the_built_matrices(kind):
     # every (cells, sigma-image) pair of one layer, the l1 moved
     # sub-tuples and a 1 x 1 pair; floats are compared with ==
     parts = enumerate_partitions(2, 6)
-    table = transport._cost_table(sorted({x for p in parts for x in p.cells}), kind)
+    table = transport._CostTable(sorted({x for p in parts for x in p.cells}), kind)
     pairs = []
     for p in parts:
         src = measure_of(p)
@@ -592,6 +655,28 @@ def test_a_sweep_of_no_n_is_refused_before_its_orbit_table(monkeypatch, m, size)
     with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
         verify_theorem_cor(m, 0, [Permutation.identity(size)])
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "m, n_max, message",
+    [(2, True, "n_max must be an integer, got True"),
+     (2, 2.5, "n_max must be an integer, got 2.5"),
+     (2.0, 2, "m must be an integer, got 2.0")],
+    ids=["bool-n-max", "float-n-max", "float-m"],
+)
+def test_a_sweep_of_a_non_int_size_is_refused_before_anything_is_built(
+    monkeypatch, m, n_max, message
+):
+    # a bool n_max once ran as n_max = 1 and wrote "n_max":true, and a float
+    # passed the gate to fail in range or math.factorial
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the gate")
+
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    for sweep in (verify_theorem_main, verify_theorem_cor):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(m, n_max, involutions(3))
 
 
 def test_a_sweep_takes_permutations_built_from_lists():
