@@ -54,6 +54,7 @@ _CELL_CAP = 1_600_000
 
 def default_max_cells(m):
     """The largest n that enumeration admits at dimension m by default."""
+    _check_int("dimension m", m)
     n = DEFAULT_MAX_CELLS.get(m, FALLBACK_MAX_CELLS)
     while n > 1 and math.comb(m + n - 1, n - 1) * m * n > MAX_ENUMERATION_WORK:
         n -= 1
@@ -244,6 +245,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int(name, value, least=None):
+    """Refuse a `value` that is no int, is a bool or is below `least`."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _freeze(node, depth):
     """`node` with its sequences down to `depth` levels turned into tuples.
 
@@ -261,10 +270,7 @@ def _checked_leaves(m, entries):
     every node above the parts a non-empty tuple, and every part an
     integer >= 1.
     """
-    if not _is_int(m):
-        raise ValueError(f"dimension m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError(f"dimension m must be >= 1, got {m}")
+    _check_int("dimension m", m, 1)
     if not isinstance(entries, tuple):
         raise NonPositiveEntryError(
             f"partition entries must be a nested tuple, got {type(entries).__name__}"
@@ -441,10 +447,8 @@ def count_partitions(m, n, max_cells=None):
 
 
 def _check_guard(m, n, max_cells):
-    if m < 1:
-        raise ValueError(f"dimension m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"total n must be >= 1, got {n}")
+    _check_int("dimension m", m, 1)
+    _check_int("total n", n, 1)
     if m > MAX_DIMENSION:
         raise InstanceTooLargeError(
             f"m={m} exceeds the dimension guard {MAX_DIMENSION}"

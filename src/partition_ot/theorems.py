@@ -15,13 +15,12 @@ Reports are deterministic: records appear in canonical enumeration order
 and serialize to byte-identical JSON lines, handed out a partition at a
 time.
 Each claim is computed once per symmetry orbit of instances under
-relabelling the axes, and one outcome table serializes each distinct
+relabelling the axes, a "cor" orbit under the exact kinds together with
+its sigma^-1 twin's, and one outcome table serializes each distinct
 result once for all its lines (`_sweep`).  Each n is one layer, run in
 three passes: key its instances by orbit, solve one representative per
-orbit from one cost table over the layer's cells, and write its lines.
-Under the exact kinds a "cor" orbit takes the outcome of its sigma^-1
-twin when that has one, and "l1" solves each distinct moved-cell matrix
-of a layer once.
+orbit from one cost table over the layer's cells, which solves each
+distinct matrix once, and write its lines.
 One gate (`_check_sweep`) refuses a sweep before any of that starts, for
 the library and the command line alike.
 """
@@ -39,7 +38,7 @@ from .measures import measure_of
 from .partitions import (
     _cell_action,
     _check_guard,
-    _is_int,
+    _check_int,
     apply_permutation,
     enumerate_partitions,
 )
@@ -177,11 +176,8 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     """
     if theorem == "main":
         _check_hybrid_kind(kind)
-    for name, value in (("m", m), ("n_max", n_max)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_int("m", m)
+    _check_int("n_max", n_max, 1)
     if m > SWEEP_MAX_M:
         raise InstanceTooLargeError(
             f"m={m} exceeds the sweep guard {SWEEP_MAX_M}: "
@@ -210,20 +206,19 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
 
     Relabelling the axes by tau maps (p, sigma) to (tau p, tau sigma
     tau^-1) with the same cost matrix up to row and column order, so the
-    claim runs once per orbit, and an orbit lies in one n.  Each n runs in
-    three passes: key, solve and write.  Its solves look their matrices up
-    in one cost table over the union of its partitions' cells, a set that
-    every sigma maps onto itself; under "l1" the table also keeps each
-    matrix's total, so each distinct one is solved once per n.  Each
+    claim runs once per orbit, and an orbit lies in one n.  Under "sq" and
+    "l1", (p, sigma) and (p, sigma^-1) also carry equal "cor" fields:
+    sigma^-1 is an isometry, so W(p, sigma p) = W(p, sigma^-1 p), and sigma
+    fixes p exactly when sigma^-1 does.  So those "cor" keys are twin-closed
+    (`_orbit_keys`) and the claim runs once per orbit and twin.  "euclid"
+    solves both, as its float totals need not agree in the last bit.
+
+    Each n runs in three passes: key, solve and write.  Its solves look
+    their matrices up in one cost table over the union of its partitions'
+    cells, a set that every sigma maps onto itself, and the table keeps
+    each matrix's total, so each distinct one is solved once per n.  Each
     distinct outcome, the claim's fields, is serialized once into a line
     template that its instances fill with their n, partition and sigma.
-
-    Under "sq" and "l1", (p, sigma) and (p, sigma^-1) carry equal "cor"
-    fields: sigma^-1 is an isometry, so W(p, sigma p) = W(p, sigma^-1 p),
-    and sigma fixes p exactly when sigma^-1 does.  So a "cor" orbit whose
-    twin, keyed in its representative's row at sigma^-1's index, already
-    has an outcome takes it unsolved.  "euclid" solves both, as its float
-    totals need not agree in the last bit.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
@@ -231,39 +226,25 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     lines = []  # kept only when no `write` is given
     write = write or (lambda text: lines.extend(text.split("\n")[:-1]))
     sigma_json = [_dumps(list(s.images)) for s in sigmas]
-    # where each sigma's twin sits in a key row: sigma^-1 where the claim
-    # has equal fields on (p, sigma) and (p, sigma^-1), else sigma itself
-    twin_at = list(range(len(sigmas)))
-    if theorem == "cor" and kind != EUCLIDEAN:
-        at = {s.images: i for i, s in enumerate(sigmas)}
-        for i, s in enumerate(sigmas):
-            # sigma^-1 lists the axes in the order of their images
-            inverse = sorted(range(1, m + 2), key=lambda k: s.images[k - 1])
-            twin_at[i] = at.get(tuple(inverse), i)
     # (line template, fields, instances per sigma) per repr of the fields'
     # values: one sweep has one record function, so the names and their
     # order are fixed; repr tells apart what json prints apart (True and 1,
     # 0.0 and -0.0), and equal reprs print alike
     outcomes = {}
-    keys = _orbit_keys(m, sigmas)
+    keys = _orbit_keys(m, sigmas, theorem == "cor" and kind != EUCLIDEAN)
     for n in range(1, n_max + 1):
         parts = enumerate_partitions(m, n, max_cells=max_cells)
-        # key the layer; each key's first instance represents its orbit
+        # key the layer; each key's first instance (p, sigma index)
+        # represents its orbit, and then gives way to its outcome
         rows = keys([measure_of(p) for p in parts])
-        firsts = {}  # orbit key -> its first instance (p, key row, sigma index)
+        orbits = {}
         for p, row in zip(parts, rows):
             for i, key in enumerate(row):
-                if key not in firsts:
-                    firsts[key] = p, row, i
-        # solve the representatives, in enumeration order, each unless the
-        # orbit of its twin (p, sigma^-1) already has an outcome
+                if key not in orbits:
+                    orbits[key] = p, i
+        # solve the representatives, in enumeration order
         costs = _CostTable(sorted({x for p in parts for x in p.cells}), kind)
-        orbits = {}  # orbit key -> its outcome
-        for key, (p, row, i) in firsts.items():
-            twin = orbits.get(row[twin_at[i]])
-            if twin is not None:
-                orbits[key] = twin
-                continue
+        for key, (p, i) in orbits.items():
             fields = record(p, sigmas[i], kind, costs)
             fkey = repr(tuple(fields.values()))
             if fkey not in outcomes:
@@ -319,21 +300,24 @@ def _line_template(theorem, m, fields):
     return tuple((text + "\n").split(_dumps(_SLOT)))
 
 
-def _orbit_keys(m, sigmas):
+def _orbit_keys(m, sigmas, twins):
     """Orbit keys of the (p, sigma) instances, one per sigma in `sigmas`.
 
     Returns `keys(layer)`, which maps the measures of partitions of one n
     to one row of int keys each, one key per sigma.  Two instances of the
     layer get equal keys exactly when some tau in S_{m+1} carries one to
-    the other: (p, sigma) -> (tau p, tau sigma tau^-1).
+    the other: (p, sigma) -> (tau p, tau sigma tau^-1).  With `twins` they
+    are also equal when tau carries one to the other's twin (p, sigma^-1).
 
     The conjugate table, all that `keys` keeps between calls, numbers each
-    distinct tau^-1 sigma tau once and holds one small int per (tau,
-    sigma).  The first partition of the layer met from an orbit of
-    partitions is its representative r, and all its tau-images are keyed
-    then.  The instance (p, sigma) is tau (r, tau^-1 sigma tau); its key is
-    r's number with the least such conjugate number over the tau that carry
-    r to p, a set of conjugates that depends only on the instance's orbit.
+    distinct tau^-1 sigma tau once, or with `twins` each one and its
+    inverse, and holds one small int per (tau, sigma).  The first
+    partition of the layer met from an orbit of partitions is its
+    representative r, and all its tau-images are keyed then.  The instance
+    (p, sigma) is tau (r, tau^-1 sigma tau); its key is r's number with the
+    least such conjugate number over the tau that carry r to p, a set of
+    conjugates that depends only on the instance's orbit.  The twin's set
+    holds their inverses, which with `twins` have the same numbers.
     """
     movers = []
     conjugates = []
@@ -348,12 +332,16 @@ def _orbit_keys(m, sigmas):
         movers.append(_cell_action(tau))
         after_tau = operator.itemgetter(0, *tau)  # sigma tau
         tau_back = (0, *(j + 1 for j in inv))  # then tau^-1
-        conjugates.append(tuple(
-            numbers.setdefault(
-                operator.itemgetter(*after_tau(s))(tau_back), len(numbers)
-            )
-            for s in padded
-        ))
+        row = []
+        for s in padded:
+            conj = operator.itemgetter(*after_tau(s))(tau_back)
+            if conj not in numbers:
+                twin = conj  # with twins, its inverse: its points by their images
+                if twins:
+                    twin = tuple(sorted(range(m + 2), key=conj.__getitem__))
+                numbers[conj] = numbers.get(twin, len(numbers))
+            row.append(numbers[conj])
+        conjugates.append(tuple(row))
     width = len(numbers)
 
     def keys(layer):

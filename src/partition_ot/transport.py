@@ -17,7 +17,7 @@ Cost entries are type-checked once, when a `CostMatrix` is built, and no
 solve scans them again.  A caller that solves many small problems over one
 point set, such as a sweep layer, builds that set's costs once
 (`_CostTable`) and hands the table to `optimal_total`, which then looks
-each matrix up instead of building it.
+each matrix up instead of building it, and solves each distinct one once.
 """
 
 from __future__ import annotations
@@ -174,10 +174,11 @@ class _CostTable:
     src and dst drawn from `points`, entry for entry: one looked-up row per
     source point, cut to the target columns.
 
-    `totals` maps each "l1" matrix that `optimal_total` solved from the
-    table, by its values, to its certified total.  The moved-cell matrices
-    of a sweep layer repeat, so each distinct one is solved once, and the
-    memo goes with the table: at most a few thousand small matrices.
+    `totals` maps each matrix that `optimal_total` solved from the table,
+    by its values, to its certified total.  A sweep layer's matrices
+    repeat, and equal matrices have equal totals under every kind, so each
+    distinct one is solved once, and the memo goes with the table: at most
+    a few thousand small matrices.
     """
 
     __slots__ = ("kind", "row_of", "col_of", "totals")
@@ -491,11 +492,11 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
     Every solve checks its dual certificate.  "euclid" adds the lex step
     of `solve_assignment`, as its float total depends on the optimum summed.
     Returns an int for the exact kinds and a float for "euclid".  The solve
-    takes its matrix from `costs(src, dst)`, a table from `_CostTable`
-    built for `kind` and holding both tuples' points, when one is given,
-    and from `cost_matrix` otherwise.  Under "l1" a table also remembers
-    each matrix's total (`_CostTable.totals`), so a matrix cut twice from
-    one table is solved once; equal matrices have equal optima.
+    takes its matrix from `cost_matrix`, or from `costs(src, dst)` when a
+    table from `_CostTable`, built for `kind` and holding both tuples'
+    points, is given.  A table also remembers each matrix's total
+    (`_CostTable.totals`), so a matrix cut twice from one table is solved
+    once.
     """
     _check_kind(kind)
     _check_assignment_size(len(src))
@@ -509,16 +510,19 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
             else:
                 moved.append(x)
         src = moved
-    c = cost_matrix(src, dst, kind) if costs is None else costs(src, dst)
-    if kind == EUCLIDEAN:
-        return solve_assignment(c).total
-    if kind != L1 or costs is None:
-        return _certified_solve(c)[1].total
-    # a table's moved-cell matrices repeat: each distinct one is solved once
+    if costs is None:
+        return _solved_total(cost_matrix(src, dst, kind))
+    c = costs(src, dst)
     total = costs.totals.get(c.values)
     if total is None:
-        total = costs.totals[c.values] = _certified_solve(c)[1].total
+        total = costs.totals[c.values] = _solved_total(c)
     return total
+
+
+def _solved_total(c):
+    # the exact kinds' total is every optimum's; "euclid" sums the floats
+    # of the lex-smallest one
+    return _certified_solve(c)[1].total if c.is_exact else solve_assignment(c).total
 
 
 def wasserstein(a, b, kind=SQUARED_EUCLIDEAN):

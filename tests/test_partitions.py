@@ -310,6 +310,26 @@ def test_count_matches_the_enumeration_and_builds_no_partition(monkeypatch):
         count_partitions(1, 13)
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (enumerate_partitions, (True, 3), "dimension m must be an integer, got True"),
+        (enumerate_partitions, (1, True), "total n must be an integer, got True"),
+        (enumerate_partitions, (1, 2.0), "total n must be an integer, got 2.0"),
+        (count_partitions, (2.0, 2), "dimension m must be an integer, got 2.0"),
+        (default_max_cells, (2.5,), "dimension m must be an integer, got 2.5"),
+        (default_max_cells, (True,), "dimension m must be an integer, got True"),
+    ],
+    ids=["enumerate-bool-m", "enumerate-bool-n", "enumerate-float-n", "count-float-m",
+         "default-float-m", "default-bool-m"],
+)
+def test_enumeration_refuses_a_size_that_is_no_int(build, args, message):
+    # as the MultiPartition constructor refuses a bool or float m or n
+    with pytest.raises(ValueError) as refused:
+        build(*args)
+    assert str(refused.value) == message
+
+
 def test_dimension_guard():
     with pytest.raises(InstanceTooLargeError, match="m=401 exceeds the dimension guard"):
         enumerate_partitions(MAX_DIMENSION + 1, 1)

@@ -235,16 +235,19 @@ def _orbits(m, n_max, sigmas):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
-def test_orbit_key_is_invariant_under_relabelling_axes(instance):
+@given(instances(), st.booleans())
+def test_orbit_key_is_invariant_under_relabelling_axes(instance, twins):
     m, p, sigma, tau = instance
-    pair = [sigma, _conjugate(tau, sigma)]
+    # with twins, the images of the twin (p, sigma^-1) share the key too
+    trio = [sigma, _conjugate(tau, sigma), _conjugate(tau, inverse(sigma))]
     src, image = measure_of(p), measure_of(symmetrize(p, tau))
-    keys = theorems._orbit_keys(m, pair)  # tau may fix p: then image == src
+    keys = theorems._orbit_keys(m, trio, twins)  # tau may fix p: image == src
     src_row, image_row = keys([src, image])
     assert src_row[0] == image_row[1]
+    assert src_row[0] == image_row[2] or not twins
     image_row, src_row = keys([image, src])  # meet the image first
     assert image_row[1] == src_row[0]
+    assert image_row[2] == src_row[0] or not twins
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,33 +255,57 @@ def test_orbit_key_is_invariant_under_relabelling_axes(instance):
 def test_orbit_keys_differ_across_orbits(instance, data):
     m, p, sigma, tau = instance
     group = all_permutations(m + 1)
-    # a second instance of the same n: often in the same orbit, often not
+    twins = data.draw(st.booleans())
+    # a second instance of the same n: often in the same orbit or its
+    # twin's, often not
     q = symmetrize(p, tau) if data.draw(st.booleans()) else data.draw(
         st.sampled_from(enumerate_partitions(m, p.n))
     )
-    rho = _conjugate(tau, sigma) if data.draw(st.booleans()) else data.draw(
-        st.sampled_from(group)
-    )
+    rho = data.draw(st.sampled_from([
+        _conjugate(tau, sigma),
+        _conjugate(tau, inverse(sigma)),
+        data.draw(st.sampled_from(group)),
+    ]))
+    # some tau carries (p, sigma) to (q, rho), or with twins to (q, rho^-1)
+    targets = {rho, inverse(rho)} if twins else {rho}
     same_orbit = any(
-        measure_of(symmetrize(p, t)) == measure_of(q) and _conjugate(t, sigma) == rho
+        measure_of(symmetrize(p, t)) == measure_of(q) and _conjugate(t, sigma) in targets
         for t in group
     )
-    keys = theorems._orbit_keys(m, [sigma, rho])
+    keys = theorems._orbit_keys(m, [sigma, rho], twins)
     p_row, q_row = keys([measure_of(p), measure_of(q)])
     assert (p_row[0] == q_row[1]) == same_orbit
 
 
+@pytest.mark.parametrize("twins", [False, True])
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 4)])
+def test_orbit_keys_keep_the_key_law_on_whole_layers(m, n, twins):
+    # every instance of the layer over all sigma: one key per orbit, or
+    # with twins per union of an orbit and its twin's, and none shared
+    group = all_permutations(m + 1)
+    layer = [measure_of(p) for p in enumerate_partitions(m, n)]
+    class_of, key_of = {}, {}
+    for src, row in zip(layer, theorems._orbit_keys(m, group, twins)(layer)):
+        for sigma, key in zip(group, row):
+            orbit = _orbit(group, src, sigma)
+            if twins:
+                orbit |= _orbit(group, src, inverse(sigma))
+            assert class_of.setdefault(key, orbit) == orbit
+            assert key_of.setdefault(orbit, key) == key
+
+
 def test_the_orbit_table_holds_small_ints():
-    # about 9 bytes per (tau, sigma) entry; one tuple per entry, as before
-    # the int table, peaked at 50 MB here
+    # about 9 bytes per (tau, sigma) entry, with twin-closed numbers too;
+    # one tuple per entry, as before the int table, peaked at 50 MB here
     sigmas = all_permutations(6)
-    tracemalloc.start()
-    try:
-        theorems._orbit_keys(5, sigmas)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
+    for twins in (False, True):
+        tracemalloc.start()
+        try:
+            theorems._orbit_keys(5, sigmas, twins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def test_a_sweep_writes_once_per_partition():
@@ -336,9 +363,8 @@ def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, ki
     # One record per orbit, and a cor orbit under an exact kind none when
     # its sigma^-1 twin has one: (p, sigma) and (p, sigma^-1) have equal
     # fields.  An orbit whose image is its diagram has optimum 0 and no
-    # solve.  "l1" solves the k x k problem on the k moved cells, once per
-    # distinct matrix of a layer; the other kinds the full n x n problem,
-    # once per recorded orbit that moves cells.
+    # solve.  "l1" solves the k x k problem on the k moved cells, the other
+    # kinds the full n x n problem, each once per distinct matrix of a layer.
     # Every solve, value-only or lex-smallest, runs the certified core, so
     # it is recorded there, under the n of the record that made it.
     theorem = "cor" if sweep is verify_theorem_cor else "main"
@@ -372,24 +398,33 @@ def test_every_sweep_solve_is_certified(monkeypatch, sweep, m, n_max, sigmas, ki
     else:
         assert set(made) == orbits.keys()  # an orbit and its twin alike
     moved = [orbits[o][:2] for o in made if orbits[o][1]]
+    # no layer solves one matrix twice
+    layer_matrices = [(n, c.values) for n, c, _ in solved]
+    assert len(set(layer_matrices)) == len(layer_matrices)
+    sizes = {(n, k if kind == "l1" else n) for n, k in moved}
+    assert {(n, c.rows) for n, c, _ in solved} == sizes
+    # a cor layer repeats matrices under every kind; main's here are distinct
+    assert len(solved) < len(moved) or theorem == "main"
     if kind == "l1":
-        # no layer solves one matrix twice
-        layer_matrices = [(n, c.values) for n, c, _ in solved]
-        assert len(set(layer_matrices)) == len(layer_matrices)
-        assert {(n, c.rows) for n, c, _ in solved} == set(moved)
-        assert len(solved) < len(moved)
         assert any(k < n for n, k in moved)
-    else:
-        assert sorted(c.rows for _, c, _ in solved) == sorted(n for n, _ in moved)
 
 
+@pytest.mark.parametrize(
+    "kind, solves, digest",
+    [
+        ("l1", 185, "d94fa106f2de7eeb59117b6a202b9ed2cf0adec63a6bd7d708a09f1cf71f7ddf"),
+        ("sq", 285, "b8eb8eb968ee7f24633f0d19b8113b617ef5a2cadf863c2ce129cf7ecc7cbf83"),
+    ],
+    ids=["l1", "sq"],
+)
 def test_the_cor_solid_sweep_records_each_twin_class_and_solves_each_matrix_once(
-    monkeypatch,
+    monkeypatch, kind, solves, digest
 ):
-    # the benchmark's sweep_cor_solid input: its 13128 instances lie in 673
-    # orbits, 539 of them moved, which took one record call and one solve
-    # each; 579 are left once twins merge, and their moved-cell matrices
-    # take 185 distinct values within their layers
+    # the benchmark's sweep_cor_solid input, and its "sq" twin: its 13128
+    # instances lie in 673 orbits, 539 of them moved, which took one record
+    # call and one solve each; 579 are left once twins merge, and their
+    # matrices take 185 ("l1", moved cells) or 285 ("sq", full diagrams)
+    # distinct values within their layers
     record, counts = theorems._CLAIMS["cor"]
     calls = []
 
@@ -404,9 +439,8 @@ def test_the_cor_solid_sweep_records_each_twin_class_and_solves_each_matrix_once
     solve = transport._certified_solve
     monkeypatch.setattr(transport, "_certified_solve", recording_solve)
     monkeypatch.setitem(theorems._CLAIMS, "cor", (recording_record, counts))
-    text = verify_theorem_cor(3, 7, all_permutations(4), kind="l1").to_jsonl()
-    assert (calls.count("record"), calls.count("solve")) == (579, 185)
-    digest = "d94fa106f2de7eeb59117b6a202b9ed2cf0adec63a6bd7d708a09f1cf71f7ddf"
+    text = verify_theorem_cor(3, 7, all_permutations(4), kind=kind).to_jsonl()
+    assert (calls.count("record"), calls.count("solve")) == (579, solves)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
