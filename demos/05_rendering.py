@@ -8,7 +8,7 @@ Output is byte-deterministic.
 
 import pathlib
 
-from partition_ot import Permutation, RenderSpec, render, validate_array
+from partition_ot import Permutation, render, validate_array
 
 out_dir = pathlib.Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
@@ -16,20 +16,20 @@ out_dir.mkdir(exist_ok=True)
 flat = validate_array([4, 2], 1)
 swap = Permutation.from_one_line("2 1")
 print("ascii, plain:")
-print(render(flat, RenderSpec()))
+print(render(flat, "ascii"))
 print("ascii with the swap highlighted (x = moved, arrows = candidate sigma-image map):")
-print(render(flat, RenderSpec(), swap))
+print(render(flat, "ascii", swap))
 
 plane = validate_array([[3, 2], [1]], 2)
 sigma = Permutation.from_one_line("1 3 2")
 
 outputs = {
-    "flat.svg": render(flat, RenderSpec(format="svg")),
-    "flat_highlight.svg": render(flat, RenderSpec(format="svg"), sigma=swap),
-    "plane.svg": render(plane, RenderSpec(format="svg")),
-    "plane_highlight.svg": render(plane, RenderSpec(format="svg"), sigma=sigma),
-    "flat.tikz": render(flat, RenderSpec(format="tikz"), sigma=swap),
-    "plane.tikz": render(plane, RenderSpec(format="tikz"), sigma=sigma),
+    "flat.svg": render(flat, "svg"),
+    "flat_highlight.svg": render(flat, "svg", swap),
+    "plane.svg": render(plane, "svg"),
+    "plane_highlight.svg": render(plane, "svg", sigma),
+    "flat.tikz": render(flat, "tikz", swap),
+    "plane.tikz": render(plane, "tikz", sigma),
 }
 for name, text in outputs.items():
     path = out_dir / name

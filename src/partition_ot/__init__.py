@@ -42,7 +42,6 @@ from .render import (
     FORMATS,
     SVG,
     TIKZ,
-    RenderSpec,
     UnsupportedRenderError,
     render,
 )

@@ -31,7 +31,7 @@ from .partitions import (
     symmetrize,
     to_json,
 )
-from .render import FORMATS, RenderSpec, render
+from .render import FORMATS, render
 from .theorems import _check_sweep, _sweep, format_summary
 from .transport import (
     BRUTE_FORCE_MAX,
@@ -124,10 +124,6 @@ def build_parser():
     p_r.add_argument(
         "--sigma", default=None,
         help="one-line permutation; highlights shared vs moved cells",
-    )
-    p_r.add_argument(
-        "--cell-size", type=float, default=RenderSpec().cell_size,
-        help="side of one cell in SVG units, svg only (default: 24)",
     )
     return parser
 
@@ -237,8 +233,7 @@ def cmd_verify(args):
 def cmd_render(args):
     p = _read_partition(args.input)
     sigma = Permutation.from_one_line(args.sigma) if args.sigma else None
-    spec = RenderSpec(format=args.format, cell_size=args.cell_size)
-    _emit(render(p, spec, sigma=sigma), args.out)
+    _emit(render(p, args.format, sigma), args.out)
     return EXIT_OK
 
 

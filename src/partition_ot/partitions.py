@@ -54,7 +54,7 @@ _CELL_CAP = 1_600_000
 
 def default_max_cells(m):
     """The largest n that enumeration admits at dimension m by default."""
-    _check_int("dimension m", m)
+    _check_int("dimension m", m, 1)
     n = DEFAULT_MAX_CELLS.get(m, FALLBACK_MAX_CELLS)
     while n > 1 and math.comb(m + n - 1, n - 1) * m * n > MAX_ENUMERATION_WORK:
         n -= 1
@@ -449,6 +449,8 @@ def count_partitions(m, n, max_cells=None):
 def _check_guard(m, n, max_cells):
     _check_int("dimension m", m, 1)
     _check_int("total n", n, 1)
+    if max_cells is not None:
+        _check_int("max_cells", max_cells)
     if m > MAX_DIMENSION:
         raise InstanceTooLargeError(
             f"m={m} exceeds the dimension guard {MAX_DIMENSION}"

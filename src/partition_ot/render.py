@@ -4,13 +4,13 @@ ascii is available for m=1, SVG and TikZ for m in {1, 2}.  Passing a
 permutation highlights the support split: shared cells in purple, moved
 cells in orange, and (for m=1) arrows of the candidate map sending each
 moved cell to its sigma-image, which need not be an optimal map.
-Identical inputs always produce identical bytes.
+One entry point, `render(p, fmt, sigma)`, draws every format at one
+scale.  Identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .measures import decompose, measure_of
 
@@ -31,50 +31,34 @@ class UnsupportedRenderError(ValueError):
     """Requested (format, dimension) combination is not renderable."""
 
 
-_DEFAULT_CELL_SIZE = 24.0
-
-RenderSpec = namedtuple(
-    "RenderSpec", "format cell_size", defaults=(ASCII, _DEFAULT_CELL_SIZE)
-)
-RenderSpec.__doc__ = "Output format plus the side of one cell in output units."
+# Side of one SVG cell in output units.  The SVG has a viewBox and no
+# width or height, so the one scale sets only the numbers written.
+_SVG_CELL = 24.0
 
 
-def render(p, spec, sigma=None):
-    """Render a partition diagram to text in the requested format.
+def render(p, fmt=ASCII, sigma=None):
+    """Render a partition diagram to text in the format `fmt`.
 
     ascii draws rows of '#' for m = 1: with a permutation, moved cells
     print as 'x' and each gets an arrow line to its sigma-image, the
-    candidate map (not always optimal).  Only SVG reads the cell size:
-    ascii has no coordinates and TikZ draws on a unit grid.
+    candidate map (not always optimal).  SVG draws cells 24 units wide,
+    TikZ on a unit grid with y up.
 
-    Raises UnsupportedRenderError for a format or dimension not drawn, and
-    ValueError unless the cell size is finite and > 0, when a format other
-    than SVG is given a size other than the default, when an SVG cell would
-    be drawn less than 0.01 wide, and when a drawn coordinate overflows to
-    a non-finite float.
+    Raises UnsupportedRenderError for a format or dimension not drawn.
     """
-    size = spec.cell_size
-    if not 0 < size < math.inf:  # false for nan too
-        raise ValueError(f"cell size must be finite and > 0, got {size}")
-    if spec.format not in FORMATS:
-        raise UnsupportedRenderError(f"unknown format {spec.format!r}")
-    drawers = _DRAW[spec.format]
+    if fmt not in FORMATS:
+        raise UnsupportedRenderError(f"unknown format {fmt!r}")
+    drawers = _DRAW[fmt]
     if p.m not in drawers:
         dims = ", ".join(map(str, drawers))
         supported = f"m={dims} only" if len(drawers) == 1 else f"m in {{{dims}}}"
         raise UnsupportedRenderError(
-            f"{spec.format} rendering supports {supported}, got m={p.m}"
+            f"{fmt} rendering supports {supported}, got m={p.m}"
         )
-    if spec.format != SVG and size != _DEFAULT_CELL_SIZE:
-        raise ValueError(f"only svg reads the cell size, got {size} for {spec.format}")
-    # `_fmt` keeps two decimals: a square's side or a cube face's width >= 0.01
-    least = size if p.m == 1 else _project(size, 0, 1, 0)[0]
-    if spec.format == SVG and least < 0.01:
-        raise ValueError(f"cell size too small: {size} draws a cell under 0.01 wide")
-    return drawers[p.m](p, size, sigma)
+    return drawers[p.m](p, sigma)
 
 
-def _ascii(p, _, sigma):
+def _ascii(p, sigma):
     colors, arrows = _highlight(p, sigma)
     rows = [
         "".join("x" if colors[a, i] == COLOR_MOVED else "#" for a in range(part))
@@ -101,8 +85,6 @@ def _highlight(p, sigma):
 
 def _fmt(x):
     """A drawn coordinate as text: every one is formatted here."""
-    if not math.isfinite(x):
-        raise ValueError(f"cell size too large: a drawn coordinate is {x}")
     text = f"{x:.2f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
@@ -126,7 +108,8 @@ def _square_geometry(p, s, sigma):
     return boxes, segments, width, top * s
 
 
-def _svg_squares(p, s, sigma):
+def _svg_squares(p, sigma):
+    s = _SVG_CELL
     boxes, segments, width, height = _square_geometry(p, s, sigma)
     pad = s * 0.25
     out = [
@@ -152,7 +135,7 @@ def _svg_squares(p, s, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_squares(p, _, sigma):
+def _tikz_squares(p, sigma):
     boxes, segments, _, height = _square_geometry(p, 1, sigma)
     up = lambda y: _fmt(height - y)  # TikZ y grows upward
     out = [_TIKZ_COLOR_DEFS]
@@ -210,7 +193,8 @@ def _painted_cubes(p, s, sigma):
     return out
 
 
-def _svg_cubes(p, s, sigma):
+def _svg_cubes(p, sigma):
+    s = _SVG_CELL
     cubes = _painted_cubes(p, s, sigma)
     points = [pt for _, faces in cubes for poly, _ in faces for pt in poly]
     xs = [x for x, _ in points]
@@ -229,7 +213,7 @@ def _svg_cubes(p, s, sigma):
     return "\n".join(out) + "\n"
 
 
-def _tikz_cubes(p, _, sigma):
+def _tikz_cubes(p, sigma):
     cubes = _painted_cubes(p, 1, sigma)
     out = [_TIKZ_COLOR_DEFS]
     shade_name = {}
@@ -257,8 +241,7 @@ _TIKZ_NAMES = {
 }
 _TIKZ_COLOR_DEFS = "\n".join(_tikz_define(name, c) for c, name in _TIKZ_NAMES.items())
 
-# The drawers of each format by dimension; each takes (p, cell size, sigma),
-# and only SVG reads the size.
+# The drawers of each format by dimension; each takes (p, sigma).
 _DRAW = {
     ASCII: {1: _ascii},
     SVG: {1: _svg_squares, 2: _svg_cubes},

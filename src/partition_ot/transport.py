@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
-from .partitions import _Frozen
+from .partitions import _Frozen, _check_int
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -596,8 +596,9 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
     a time until a closed one gains less than -slack (a small one for
     "euclid" floats): a simple cycle at that least length, as a shorter
     closed walk would have gained < 0 first.  At `max_cycle` steps only the
-    k closed walks are taken, a k^2 step.
+    k closed walks are taken, a k^2 step.  `max_cycle` must be an int.
     """
+    _check_int("max_cycle", max_cycle)
     pair_list = sorted(set(pairs))
     k = len(pair_list)
     longest = min(max_cycle, k)

@@ -319,12 +319,20 @@ def test_count_matches_the_enumeration_and_builds_no_partition(monkeypatch):
         (count_partitions, (2.0, 2), "dimension m must be an integer, got 2.0"),
         (default_max_cells, (2.5,), "dimension m must be an integer, got 2.5"),
         (default_max_cells, (True,), "dimension m must be an integer, got True"),
+        (default_max_cells, (0,), "dimension m must be >= 1, got 0"),
+        (default_max_cells, (-5,), "dimension m must be >= 1, got -5"),
+        (enumerate_partitions, (1, 2, True), "max_cells must be an integer, got True"),
+        (enumerate_partitions, (1, 2, 2.5), "max_cells must be an integer, got 2.5"),
+        (count_partitions, (1, 2, "3"), "max_cells must be an integer, got '3'"),
     ],
     ids=["enumerate-bool-m", "enumerate-bool-n", "enumerate-float-n", "count-float-m",
-         "default-float-m", "default-bool-m"],
+         "default-float-m", "default-bool-m", "default-zero-m", "default-negative-m",
+         "enumerate-bool-max-cells", "enumerate-float-max-cells", "count-str-max-cells"],
 )
 def test_enumeration_refuses_a_size_that_is_no_int(build, args, message):
-    # as the MultiPartition constructor refuses a bool or float m or n
+    # as the MultiPartition constructor refuses a bool or float m or n; a
+    # max_cells of True once stood as a guard of 1, 2.5 as a bound, and "3"
+    # raised a raw TypeError
     with pytest.raises(ValueError) as refused:
         build(*args)
     assert str(refused.value) == message

@@ -692,17 +692,22 @@ def test_a_sweep_of_no_n_is_refused_before_its_orbit_table(monkeypatch, m, size)
 
 
 @pytest.mark.parametrize(
-    "m, n_max, message",
-    [(2, True, "n_max must be an integer, got True"),
-     (2, 2.5, "n_max must be an integer, got 2.5"),
-     (2.0, 2, "m must be an integer, got 2.0")],
-    ids=["bool-n-max", "float-n-max", "float-m"],
+    "m, n_max, max_cells, message",
+    [(2, True, None, "n_max must be an integer, got True"),
+     (2, 2.5, None, "n_max must be an integer, got 2.5"),
+     (2.0, 2, None, "m must be an integer, got 2.0"),
+     (2, 2, True, "max_cells must be an integer, got True"),
+     (2, 2, 2.5, "max_cells must be an integer, got 2.5"),
+     (2, 2, "3", "max_cells must be an integer, got '3'")],
+    ids=["bool-n-max", "float-n-max", "float-m",
+         "bool-max-cells", "float-max-cells", "str-max-cells"],
 )
 def test_a_sweep_of_a_non_int_size_is_refused_before_anything_is_built(
-    monkeypatch, m, n_max, message
+    monkeypatch, m, n_max, max_cells, message
 ):
-    # a bool n_max once ran as n_max = 1 and wrote "n_max":true, and a float
-    # passed the gate to fail in range or math.factorial
+    # a bool n_max once ran as n_max = 1 and wrote "n_max":true, a float
+    # passed the gate to fail in range or math.factorial, and a max_cells
+    # of 2.5 ran as a bound
     def refuse(*args, **kwargs):
         raise AssertionError("built before the gate")
 
@@ -710,7 +715,7 @@ def test_a_sweep_of_a_non_int_size_is_refused_before_anything_is_built(
     monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
     for sweep in (verify_theorem_main, verify_theorem_cor):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            sweep(m, n_max, involutions(3))
+            sweep(m, n_max, involutions(3), max_cells=max_cells)
 
 
 def test_a_sweep_takes_permutations_built_from_lists():

@@ -781,6 +781,16 @@ def test_monotone_guards(monkeypatch):
         is_c_cyclically_monotone(wide, "cube", 0)
 
 
+@pytest.mark.parametrize("max_cycle", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_monotone_refuses_a_max_cycle_that_is_no_int(max_cycle):
+    # 2.5 and "3" raised a raw TypeError, and True ran as a max_cycle of 1;
+    # the refusal comes before the guards, here of 2001 pairs
+    wide = {((i, 0), (i, 1)) for i in range(2001)}
+    with pytest.raises(ValueError) as refused:
+        is_c_cyclically_monotone(wide, "sq", max_cycle)
+    assert str(refused.value) == f"max_cycle must be an integer, got {max_cycle!r}"
+
+
 @pytest.mark.parametrize("kind", ["sq", "l1"])
 def test_monotone_exact_kinds_need_integer_coordinates(kind):
     with pytest.raises(NonIntegerCostsError):

@@ -1,8 +1,8 @@
-"""The seven value types, built without dataclasses.
+"""The six value types, built without dataclasses.
 
 `MultiPartition`, `Permutation` and `CostMatrix` share one frozen base; the
-records `HybridPlanResult`, `SweepReport`, `SupportDecomposition`,
-`RenderSpec` and `AssignmentResult` are named tuples.  Their reprs, ==
+records `HybridPlanResult`, `SweepReport`, `SupportDecomposition` and
+`AssignmentResult` are named tuples.  Their reprs, ==
 and hash are those the frozen dataclasses had, and importing the command
 line loads neither `dataclasses` nor `typing`.
 """
@@ -21,7 +21,6 @@ from partition_ot import (
     HybridPlanResult,
     MultiPartition,
     Permutation,
-    RenderSpec,
     SupportDecomposition,
     SweepReport,
     decompose,
@@ -57,7 +56,6 @@ VALUES = [
         "SupportDecomposition(common=frozenset({(0, 0)}), "
         "source_only=frozenset(), target_only=frozenset())",
     ),
-    (RenderSpec(), ("ascii", 24.0), "RenderSpec(format='ascii', cell_size=24.0)"),
     (
         solve_assignment(CostMatrix("sq", [[2, 1], [1, 3]])),
         ((1, 0), 2, ((0, 0), (1, 1))),
@@ -127,7 +125,6 @@ def test_records_are_tuples():
     assert res == ((1, 0), 2, None)
     matching, total, duals = res
     assert (matching, total, duals) == ((1, 0), 2, None)
-    assert RenderSpec(cell_size=3.0) == ("ascii", 3.0)
 
 
 @pytest.mark.parametrize(
