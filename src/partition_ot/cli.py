@@ -5,11 +5,11 @@ path is a thin wrapper over the library; outputs are byte-deterministic.
 Exit codes: 0 success, 2 bad input or size guard, 3 verification failure.
 `main` builds its parser once per process and reuses it: parsing leaves
 an argparse parser unchanged.  Every call is a new process, so importing
-this module loads only `argparse`, `json` and `fractions` beside the
-package: no `dataclasses`, `inspect` or `typing`.
+this module loads only `argparse` and `json` beside the package: no
+`dataclasses`, `inspect` or `typing`, and no `fractions` (with `decimal`
+and `numbers`), which loads on the first Fraction built.  No sweep
+builds a Fraction.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .errors import EnumerationTooLargeError, PartitionOTError
 from .partitions import (
@@ -187,10 +186,10 @@ def cmd_wasserstein(args):
         value = distance_of_total(res.total, a.n, args.cost)
     else:  # the value alone needs no matching
         value = wasserstein(a, b, args.cost)
-    if isinstance(value, Fraction):
-        lines = [f"{value.numerator}/{value.denominator} ({float(value):.12g})"]
-    else:
+    if args.cost == EUCLIDEAN:
         lines = [f"{value:.12g}"]
+    else:  # a Fraction
+        lines = [f"{value.numerator}/{value.denominator} ({float(value):.12g})"]
     if args.certify:
         if a.n <= BRUTE_FORCE_MAX:
             oracle = solve_bruteforce(c).total

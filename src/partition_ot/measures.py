@@ -8,8 +8,6 @@ cells of a partition against those of its permuted image into shared and
 moved parts.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .partitions import apply_permutation

@@ -18,8 +18,6 @@ detected by `is_self_symmetric`.  `MultiPartition`, `Permutation` and
 the package's records are named tuples.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

@@ -8,8 +8,6 @@ One entry point, `render(p, fmt, sigma)`, draws every format at one
 scale.  Identical inputs always produce identical bytes.
 """
 
-from __future__ import annotations
-
 import math
 
 from .measures import decompose, measure_of

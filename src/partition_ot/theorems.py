@@ -13,7 +13,8 @@ every permutation in a chosen set:
 
 Reports are deterministic: records appear in canonical enumeration order
 and serialize to byte-identical JSON lines, handed out a partition at a
-time.
+time.  Both claims keep their matched totals as ints from solve to JSON,
+where total/n goes out in lowest terms: no sweep builds a Fraction.
 Each claim is computed once per symmetry orbit of instances under
 relabelling the axes, a "cor" orbit under the exact kinds together with
 its sigma^-1 twin's, and one outcome table serializes each distinct
@@ -24,8 +25,6 @@ distinct matrix once, and write its lines.
 One gate (`_check_sweep`) refuses a sweep before any of that starts, for
 the library and the command line alike.
 """
-
-from __future__ import annotations
 
 import itertools
 import json
@@ -107,17 +106,34 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
     always holds for involutions.  Costs are compared as exact rationals,
     so the irrational "euclid" kind is rejected.
 
-    The optimum comes from `optimal_total`, from the cost table `costs` when
-    one is given, and the candidate is costed over its moved cells only,
-    because every shared cell stays put at cost 0.
+    The comparison is `_hybrid_totals`, the integer core that the main
+    sweep runs too; this wraps its two totals as Fraction costs, total/n.
     """
     _check_hybrid_kind(kind)
+    optimal, candidate, matching = _hybrid_totals(p, sigma, kind, costs)
+    optimal_cost = distance_of_total(optimal, p.n, kind)
+    if candidate is None:
+        return HybridPlanResult(False, None, optimal_cost, False, None)
+    cost = distance_of_total(candidate, p.n, kind)
+    return HybridPlanResult(True, cost, optimal_cost, candidate == optimal, matching)
+
+
+def _hybrid_totals(p, sigma, kind, costs=None):
+    """The optimal and the candidate's matched totals, as ints, and its matching.
+
+    Returns (optimal, candidate, matching), with candidate and matching
+    None when the candidate is no bijection.  Both totals are over the
+    same n cells, so they compare as their costs do.  The optimum comes
+    from `optimal_total`, from the cost table `costs` when one is given,
+    and the candidate is costed over its moved cells only, because every
+    shared cell stays put at cost 0.
+    """
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     n = len(src)
-    optimal = distance_of_total(optimal_total(src, dst, kind, costs), n, kind)
+    optimal = optimal_total(src, dst, kind, costs)
     if dst == src:  # nothing moves: the candidate is the identity, at cost 0
-        return HybridPlanResult(True, optimal, optimal, True, tuple(range(n)))
+        return optimal, 0, tuple(range(n))
     # Every moved cell goes to its image, which always lies in dst.  The
     # candidate is a bijection when no image lands on a shared cell.
     dst_index = {cell: j for j, cell in enumerate(dst)}
@@ -132,9 +148,8 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
             matching.append(dst_index[image])
             moved_cost += distance(cell, image)
     if len(set(matching)) != n:
-        return HybridPlanResult(False, None, optimal, False, None)
-    cost = distance_of_total(moved_cost, n, kind)
-    return HybridPlanResult(True, cost, optimal, cost == optimal, tuple(matching))
+        return optimal, None, None
+    return optimal, moved_cost, tuple(matching)
 
 
 def _check_hybrid_kind(kind):
@@ -364,15 +379,16 @@ def _orbit_keys(m, sigmas, twins):
 
 
 def _main_record(p, sigma, kind, costs=None):
-    res = hybrid_plan(p, sigma, kind, costs)
+    optimal, candidate, _ = _hybrid_totals(p, sigma, kind, costs)
     involution = sigma.is_involution()
+    matches = candidate == optimal  # an invalid candidate's None never does
     return {
         "involution": involution,
-        "hybrid_valid": res.valid,
-        "hybrid_cost": _frac_json(res.cost),
-        "optimal_cost": _frac_json(res.optimal_cost),
-        "matches_optimum": res.matches_optimum,
-        "violation": involution and not res.matches_optimum,
+        "hybrid_valid": candidate is not None,
+        "hybrid_cost": None if candidate is None else _ratio_json(candidate, p.n),
+        "optimal_cost": _ratio_json(optimal, p.n),
+        "matches_optimum": matches,
+        "violation": involution and not matches,
     }
 
 
@@ -390,11 +406,7 @@ def _cor_record(p, sigma, kind, costs=None):
     dst = apply_permutation(src, sigma)
     total = optimal_total(src, dst, kind, costs)
     n = len(src)
-    if kind == EUCLIDEAN:
-        w_json = total / n
-    else:  # the Fraction total / n in lowest terms
-        g = math.gcd(total, n)
-        w_json = [total // g, n // g]
+    w_json = total / n if kind == EUCLIDEAN else _ratio_json(total, n)
     # exact for "euclid" too: a float sum of square roots of non-negative
     # ints is 0 only when every term is
     w_zero = total == 0
@@ -427,10 +439,10 @@ def format_summary(report):
     return "\n".join(lines) + "\n"
 
 
-def _frac_json(value):
-    if value is None:
-        return None
-    return [value.numerator, value.denominator]
+def _ratio_json(total, n):
+    """total/n in lowest terms, as a Fraction's [numerator, denominator]."""
+    g = math.gcd(total, n)
+    return [total // g, n // g]
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")), its encoder built once

@@ -20,12 +20,9 @@ point set, such as a sweep layer, builds that set's costs once
 each matrix up instead of building it, and solves each distinct one once.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial, reduce
 from operator import add, getitem, itemgetter, sub
 
@@ -548,9 +545,15 @@ def distance_of_total(total, n, kind):
     """The cost of a plan of n unit masses whose matched total is `total`.
 
     Each matched pair carries mass 1/n, so the cost is the total over n: an
-    exact Fraction for the integer kinds and a float for "euclid".
+    exact Fraction for the integer kinds and a float for "euclid".  Its
+    first Fraction loads `fractions`, which no sweep needs: the sweeps keep
+    the int total and write total/n in lowest terms with `math.gcd`.
     """
-    return total / n if kind == EUCLIDEAN else Fraction(total, n)
+    if kind == EUCLIDEAN:
+        return total / n
+    from fractions import Fraction
+
+    return Fraction(total, n)
 
 
 def plan_cost(matching, c):
@@ -570,6 +573,8 @@ def plan_cost(matching, c):
 
 def plan_to_json(matching, total):
     """Wire form: mass 1/n on each matched pair (i, j), and the exact cost."""
+    from fractions import Fraction
+
     if not isinstance(total, Fraction):
         raise NonIntegerCostsError("plan JSON carries an exact rational total")
     n = len(matching)

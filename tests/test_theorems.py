@@ -561,17 +561,42 @@ def test_a_main_sweep_builds_each_partition_s_cells_once(monkeypatch):
     assert report.summary["records"] == 95 * len(involutions(3))
 
 
-def test_the_main_sweep_runs_hybrid_plan(monkeypatch):
+def test_the_main_sweep_and_hybrid_plan_run_one_integer_core(monkeypatch):
     expected = verify_theorem_main(2, 5, involutions(3)).to_jsonl()
     calls = []
+    real = theorems._hybrid_totals
 
-    def counting(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
+    def counting(p, sigma, kind, costs=None):
         calls.append((p.entries, sigma.images))
-        return hybrid_plan(p, sigma, kind, costs)
+        return real(p, sigma, kind, costs)
 
-    monkeypatch.setattr(theorems, "hybrid_plan", counting)
+    def refuse(*args):
+        raise AssertionError("the main sweep built a Fraction")
+
+    monkeypatch.setattr(theorems, "_hybrid_totals", counting)
+    p = validate_array([4, 2], 1)
+    res = hybrid_plan(p, SWAP)
+    assert res == (True, Fraction(13, 3), Fraction(7, 3), False, (0, 1, 4, 5, 2, 3))
+    assert calls == [(p.entries, SWAP.images)]
+    calls.clear()
+    monkeypatch.setattr(theorems, "hybrid_plan", refuse)
+    monkeypatch.setattr(theorems, "distance_of_total", refuse)
     assert verify_theorem_main(2, 5, involutions(3)).to_jsonl() == expected
     assert calls and len(set(calls)) == len(calls)
+
+
+def test_hybrid_plan_agrees_with_every_main_record():
+    # main --m 2 --n-max 6 --sigma all --cost sq, a record at a time
+    report = verify_theorem_main(2, 6, all_permutations(3), kind="sq")
+    assert report.summary["records"] == 95 * 6
+    for rec in report.records:
+        p = validate_array(rec["partition"], 2)
+        res = hybrid_plan(p, Permutation(rec["sigma"]), "sq")
+        cost = None if res.cost is None else [res.cost.numerator, res.cost.denominator]
+        optimal = [res.optimal_cost.numerator, res.optimal_cost.denominator]
+        assert (rec["hybrid_valid"], rec["hybrid_cost"]) == (res.valid, cost)
+        assert rec["optimal_cost"] == optimal
+        assert rec["matches_optimum"] == res.matches_optimum
 
 
 def test_size_mismatch_is_raised_before_any_solve(monkeypatch):

@@ -4,7 +4,8 @@
 records `HybridPlanResult`, `SweepReport`, `SupportDecomposition` and
 `AssignmentResult` are named tuples.  Their reprs, ==
 and hash are those the frozen dataclasses had, and importing the command
-line loads neither `dataclasses` nor `typing`.
+line loads neither `dataclasses` nor `typing`.  Nor does it load
+`fractions`, and no sweep loads it either.
 """
 
 import os
@@ -72,20 +73,65 @@ IDENTITY = Permutation.identity(2)
 REPORT = verify_theorem_cor(1, 1, [IDENTITY])
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
-    # a difference of sys.modules, since site may load typing beforehand
-    code = (
-        "import sys; before = set(sys.modules); import partition_ot.cli; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
+def fresh(code):
+    """stdout of `code` run in a fresh interpreter on this checkout's src/."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    added = set(proc.stdout.split())
+    return proc.stdout
+
+
+# modules that no sweep needs: for the records and the exact values
+UNLOADED = {
+    "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers",
+    "__future__",
+}
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # a difference of sys.modules, since site may load typing beforehand
+    added = set(fresh(
+        "import sys; before = set(sys.modules); import partition_ot.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    ).split())
     assert "partition_ot.cli" in added
-    assert not added & {"dataclasses", "inspect", "typing"}
+    assert not added & UNLOADED
+
+
+def test_the_benchmark_sweeps_load_no_fractions():
+    # the bench smoke reports of both claims, with their CI digests
+    code = """
+import contextlib, hashlib, io, sys
+before = set(sys.modules)
+from partition_ot import cli
+for argv in (
+    "verify --theorem main --m 2 --n-max 5 --sigma involutions --cost sq",
+    "verify --theorem cor --m 3 --n-max 4 --sigma all --cost l1",
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv.split())
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(*sorted(set(sys.modules) - before))
+"""
+    main, cor, added = fresh(code).splitlines()
+    assert main == "3 36d2673dbe9c6b213d5218c65e7c5ff92bf78aee2b264cdf5b01f78d7147dead"
+    assert cor == "0 3557b9c9cabf2a087f836a4dabfc258e23037483a85cba7e453cf7364a0cf665"
+    assert "fractions" not in added.split()
+
+
+def test_a_star_import_gives_the_library_tour_its_names():
+    # README's tour starts with `from partition_ot import *`
+    code = """
+from partition_ot import *
+p = validate_array([4, 2], 1)
+print(FORMATS, repr(render(p, "ascii", Permutation.from_one_line("2 1"))))
+"""
+    assert fresh(code) == (
+        "('ascii', 'svg', 'tikz') '##xx\\n##\\n(2, 0) -> (0, 2)\\n(3, 0) -> (0, 3)\\n'\n"
+    )
 
 
 @pytest.mark.parametrize("value, fields, text", VALUES, ids=IDS)
