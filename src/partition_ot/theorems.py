@@ -20,7 +20,7 @@ relabelling the axes, a "cor" orbit under the exact kinds together with
 its sigma^-1 twin's, and one outcome table serializes each distinct
 result once for all its lines (`_sweep`).  Each n is one layer, run in
 three passes: key its instances by orbit, solve one representative per
-orbit from one cost table over the layer's cells, which solves each
+orbit through one cost table over the layer's cells, which solves each
 distinct matrix once, and write its lines.
 One gate (`_check_sweep`) refuses a sweep before any of that starts, for
 the library and the command line alike.
@@ -31,6 +31,7 @@ import json
 import math
 import operator
 from collections import namedtuple
+from functools import partial
 
 from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
 from .measures import measure_of
@@ -45,6 +46,8 @@ from .transport import (
     EUCLIDEAN,
     POINT_COSTS,
     SQUARED_EUCLIDEAN,
+    _check_assignment_size,
+    _check_kind,
     _CostTable,
     distance_of_total,
     optimal_total,
@@ -70,15 +73,14 @@ HybridPlanResult.__doc__ = (
     "Outcome of the fix-common, permute-the-rest candidate matching."
 )
 
-_SWEEP_FIELDS = "theorem m n_max sigmas kind lines summary sigma_counts"
 
-
-class SweepReport(namedtuple("SweepReport", _SWEEP_FIELDS)):
+class SweepReport(namedtuple("SweepReport", "lines summary sigma_counts")):
     """One verification sweep: its JSON record lines plus summary counts.
 
     `lines` holds one serialized record per instance, in enumeration
-    order; `sigma_counts` maps each sigma's images to its (instances,
-    violations) tally.
+    order; `summary` is the report's last line, which names the sweep
+    (theorem, m, n_max, kind and sigmas) and counts it; `sigma_counts` maps
+    each sigma's images to its (instances, violations) tally.
     """
 
     __slots__ = ()
@@ -97,7 +99,7 @@ class SweepReport(namedtuple("SweepReport", _SWEEP_FIELDS)):
         return "\n".join((*self.lines, _dumps(self.summary))) + "\n"
 
 
-def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
+def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN):
     """Build the candidate matching and compare its cost to the optimum.
 
     The candidate fixes every cell shared between p and its permuted image
@@ -107,10 +109,12 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
     so the irrational "euclid" kind is rejected.
 
     The comparison is `_hybrid_totals`, the integer core that the main
-    sweep runs too; this wraps its two totals as Fraction costs, total/n.
+    sweep runs too; this runs it on the public `optimal_total` and wraps
+    its two totals as Fraction costs, total/n.
     """
     _check_hybrid_kind(kind)
-    optimal, candidate, matching = _hybrid_totals(p, sigma, kind, costs)
+    total = partial(optimal_total, kind=kind)
+    optimal, candidate, matching = _hybrid_totals(p, sigma, kind, total)
     optimal_cost = distance_of_total(optimal, p.n, kind)
     if candidate is None:
         return HybridPlanResult(False, None, optimal_cost, False, None)
@@ -118,20 +122,21 @@ def hybrid_plan(p, sigma, kind=SQUARED_EUCLIDEAN, costs=None):
     return HybridPlanResult(True, cost, optimal_cost, candidate == optimal, matching)
 
 
-def _hybrid_totals(p, sigma, kind, costs=None):
+def _hybrid_totals(p, sigma, kind, total):
     """The optimal and the candidate's matched totals, as ints, and its matching.
 
     Returns (optimal, candidate, matching), with candidate and matching
     None when the candidate is no bijection.  Both totals are over the
-    same n cells, so they compare as their costs do.  The optimum comes
-    from `optimal_total`, from the cost table `costs` when one is given,
-    and the candidate is costed over its moved cells only, because every
-    shared cell stays put at cost 0.
+    same n cells, so they compare as their costs do.  The optimum is
+    `total(src, dst)` of the diagram and its image: the public
+    `optimal_total` for `hybrid_plan`, the layer's `_CostTable.total` in
+    the sweep.  The candidate is costed over its moved cells only, because
+    every shared cell stays put at cost 0.
     """
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
     n = len(src)
-    optimal = optimal_total(src, dst, kind, costs)
+    optimal = total(src, dst)
     if dst == src:  # nothing moves: the candidate is the identity, at cost 0
         return optimal, 0, tuple(range(n))
     # Every moved cell goes to its image, which always lies in dst.  The
@@ -182,13 +187,16 @@ def verify_theorem_cor(m, n_max, sigmas, kind=SQUARED_EUCLIDEAN, max_cells=None)
 def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     """Refuse a sweep before anything is listed, built, opened or written.
 
-    The one sweep gate, in this order: "main" under "euclid", an m or
-    n_max that is no int (a bool included), n_max below 1, m above
-    `SWEEP_MAX_M`, the enumeration guard at n_max (so every smaller n
-    passes it too), an orbit table of more than `SWEEP_MAX_CONJUGATES`
-    entries, and a sigma of the wrong size.  Called with no sigmas, it
-    runs the checks that come before a named sigma set is listed.
+    The one sweep gate, in this order: an unknown cost kind, "main" under
+    "euclid", an m or n_max that is no int (a bool included), n_max below
+    1, m above `SWEEP_MAX_M`, the enumeration guard at n_max (so every
+    smaller n passes it too), n_max above `ASSIGNMENT_MAX_N`, an orbit
+    table of more than `SWEEP_MAX_CONJUGATES` entries, and a sigma of the
+    wrong size.  The sweep's solves (`_CostTable.total`) check none of
+    these per instance.  Called with no sigmas, it runs the checks that
+    come before a named sigma set is listed.
     """
+    _check_kind(kind)
     if theorem == "main":
         _check_hybrid_kind(kind)
     _check_int("m", m)
@@ -199,6 +207,7 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
             f"orbits need all (m + 1)! axis relabellings"
         )
     _check_guard(m, n_max, max_cells)
+    _check_assignment_size(n_max)
     conjugates = math.factorial(m + 1) * len(sigmas)
     if conjugates > SWEEP_MAX_CONJUGATES:
         raise InstanceTooLargeError(
@@ -228,12 +237,12 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     (`_orbit_keys`) and the claim runs once per orbit and twin.  "euclid"
     solves both, as its float totals need not agree in the last bit.
 
-    Each n runs in three passes: key, solve and write.  Its solves look
-    their matrices up in one cost table over the union of its partitions'
-    cells, a set that every sigma maps onto itself, and the table keeps
-    each matrix's total, so each distinct one is solved once per n.  Each
-    distinct outcome, the claim's fields, is serialized once into a line
-    template that its instances fill with their n, partition and sigma.
+    Each n runs in three passes: key, solve and write.  Its claims solve
+    through `total` of one cost table over the union of its partitions'
+    cells, a set that every sigma maps onto itself; the table cuts each
+    matrix and keeps its total, so each distinct one is solved once per n.
+    Each distinct outcome, the claim's fields, is serialized once into a
+    line template that its instances fill with their n, partition and sigma.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
@@ -258,9 +267,9 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
                 if key not in orbits:
                     orbits[key] = p, i
         # solve the representatives, in enumeration order
-        costs = _CostTable(sorted({x for p in parts for x in p.cells}), kind)
+        total = _CostTable(sorted({x for p in parts for x in p.cells}), kind).total
         for key, (p, i) in orbits.items():
-            fields = record(p, sigmas[i], kind, costs)
+            fields = record(p, sigmas[i], kind, total)
             fkey = repr(tuple(fields.values()))
             if fkey not in outcomes:
                 template = _line_template(theorem, m, fields)
@@ -295,7 +304,7 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     }
     write(_dumps(summary) + "\n")
     lines = tuple(lines[:-1])  # the last is the summary
-    return SweepReport(theorem, m, n_max, sigmas, kind, lines, summary, sigma_counts)
+    return SweepReport(lines, summary, sigma_counts)
 
 
 _SLOT = "\0"  # placeholder of a record line's per-instance fields
@@ -378,8 +387,8 @@ def _orbit_keys(m, sigmas, twins):
     return keys
 
 
-def _main_record(p, sigma, kind, costs=None):
-    optimal, candidate, _ = _hybrid_totals(p, sigma, kind, costs)
+def _main_record(p, sigma, kind, total):
+    optimal, candidate, _ = _hybrid_totals(p, sigma, kind, total)
     involution = sigma.is_involution()
     matches = candidate == optimal  # an invalid candidate's None never does
     return {
@@ -401,15 +410,15 @@ def _main_counts(weighted):
     return {"noninvolutive_findings": findings}
 
 
-def _cor_record(p, sigma, kind, costs=None):
+def _cor_record(p, sigma, kind, total):
     src = measure_of(p)
     dst = apply_permutation(src, sigma)
-    total = optimal_total(src, dst, kind, costs)
+    w = total(src, dst)
     n = len(src)
-    w_json = total / n if kind == EUCLIDEAN else _ratio_json(total, n)
+    w_json = w / n if kind == EUCLIDEAN else _ratio_json(w, n)
     # exact for "euclid" too: a float sum of square roots of non-negative
     # ints is 0 only when every term is
-    w_zero = total == 0
+    w_zero = w == 0
     self_symmetric = dst == src
     return {
         "w": w_json,
@@ -425,17 +434,16 @@ def _cor_counts(weighted):
 
 def format_summary(report):
     """Human-readable per-sigma table for a sweep report."""
+    s = report.summary
     lines = [
-        f"sweep {report.theorem}: m={report.m} n_max={report.n_max} kind={report.kind}",
+        f"sweep {s['theorem']}: m={s['m']} n_max={s['n_max']} kind={s['kind']}",
         f"{'sigma':<12} {'instances':>9} {'violations':>10}",
     ]
-    for sigma in report.sigmas:
-        instances, bad = report.sigma_counts[sigma.images]
-        lines.append(f"{sigma.one_line():<12} {instances:>9} {bad:>10}")
-    lines.append(
-        f"total: {report.summary['records']} records, "
-        f"{report.summary['violations']} violations"
-    )
+    for images in s["sigmas"]:  # one-line lists, a repeated sigma repeated
+        instances, bad = report.sigma_counts[tuple(images)]
+        one_line = " ".join(map(str, images))
+        lines.append(f"{one_line:<12} {instances:>9} {bad:>10}")
+    lines.append(f"total: {s['records']} records, {s['violations']} violations")
     return "\n".join(lines) + "\n"
 
 

@@ -16,8 +16,9 @@ Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 Cost entries are type-checked once, when a `CostMatrix` is built, and no
 solve scans them again.  A caller that solves many small problems over one
 point set, such as a sweep layer, builds that set's costs once
-(`_CostTable`) and hands the table to `optimal_total`, which then looks
-each matrix up instead of building it, and solves each distinct one once.
+(`_CostTable`) and solves through the table's `total`, which applies
+`optimal_total`'s rule, looks each matrix up instead of building it, and
+solves each distinct one once.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
-from .partitions import _Frozen, _check_int
+from .partitions import _Frozen, _check_int, _is_int
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -164,18 +165,20 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
 
 
 class _CostTable:
-    """A cost source that looks matrices up instead of building them.
+    """A sweep layer's costs and optimal totals over one point set.
 
     The costs between all of `points` are built once, by `cost_matrix`.
-    `costs(src, dst)` then returns `cost_matrix(src, dst, kind)` for any
+    `table(src, dst)` then returns `cost_matrix(src, dst, kind)` for any
     src and dst drawn from `points`, entry for entry: one looked-up row per
     source point, cut to the target columns.
 
-    `totals` maps each matrix that `optimal_total` solved from the table,
-    by its values, to its certified total.  A sweep layer's matrices
-    repeat, and equal matrices have equal totals under every kind, so each
-    distinct one is solved once, and the memo goes with the table: at most
-    a few thousand small matrices.
+    `total(src, dst)` is `optimal_total(src, dst, kind)` on such tuples, by
+    its rule and without its checks, which the sweep gate makes once.  Only
+    `total` reads and writes `totals`, which maps each matrix solved, by
+    its values, to its certified total.  A sweep layer's matrices repeat,
+    and equal matrices have equal totals under every kind, so each distinct
+    one is solved once, and the memo goes with the table: at most a few
+    thousand small matrices.
     """
 
     __slots__ = ("kind", "row_of", "col_of", "totals")
@@ -193,6 +196,16 @@ class _CostTable:
         cut = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
         rows = map(cut, map(self.row_of, src))
         return CostMatrix._unchecked(self.kind, tuple(rows))
+
+    def total(self, src, dst):
+        return _moved_total(src, dst, self.kind, self._memo_total)
+
+    def _memo_total(self, src, dst):
+        c = self(src, dst)
+        total = self.totals.get(c.values)
+        if total is None:
+            total = self.totals[c.values] = _solved_total(c)
+        return total
 
 
 def _check_kind(kind):
@@ -280,7 +293,7 @@ def check_certificate(c, res):
     """
     n = c.rows
     matching = res.matching
-    if c.cols != n or res.duals is None or sorted(matching) != list(range(n)):
+    if c.cols != n or res.duals is None or not _is_matching(matching, n):
         return False
     u, v = res.duals
     if len(u) != n or len(v) != n:
@@ -296,6 +309,11 @@ def check_certificate(c, res):
     if c.is_exact and res.total != total:
         return False
     return sum(u) + sum(v) == total
+
+
+def _is_matching(matching, n):
+    """True when `matching` lists ints, no bools, that permute range(n)."""
+    return all(map(_is_int, matching)) and sorted(matching) == list(range(n))
 
 
 def solve_bruteforce(c):
@@ -470,7 +488,7 @@ def solve_transport(a, b, kind=SQUARED_EUCLIDEAN):
     return c, solve_assignment(c)
 
 
-def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
+def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
     """Optimal assignment total between two equal-length point tuples.
 
     The value alone, with no matching, from the smallest solve that fixes
@@ -488,15 +506,24 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
 
     Every solve checks its dual certificate.  "euclid" adds the lex step
     of `solve_assignment`, as its float total depends on the optimum summed.
-    Returns an int for the exact kinds and a float for "euclid".  The solve
-    takes its matrix from `cost_matrix`, or from `costs(src, dst)` when a
-    table from `_CostTable`, built for `kind` and holding both tuples'
-    points, is given.  A table also remembers each matrix's total
-    (`_CostTable.totals`), so a matrix cut twice from one table is solved
-    once.
+    Returns an int for the exact kinds and a float for "euclid".  Tuples of
+    unequal length raise NotSquareError before any matrix is built.
     """
     _check_kind(kind)
     _check_assignment_size(len(src))
+    if len(src) != len(dst):
+        raise NotSquareError(f"cost matrix is {len(src)}x{len(dst)}")
+    return _moved_total(
+        src, dst, kind, lambda a, b: _solved_total(cost_matrix(a, b, kind))
+    )
+
+
+def _moved_total(src, dst, kind, solved):
+    """`optimal_total`'s rule, with `solved(src, dst)` a certified total.
+
+    `solved` gets the pair left to solve: none at all when src == dst, and
+    under "l1" the moved points alone.
+    """
     if src == dst:
         return 0.0 if kind == EUCLIDEAN else 0
     if kind == L1:
@@ -507,13 +534,7 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN, costs=None):
             else:
                 moved.append(x)
         src = moved
-    if costs is None:
-        return _solved_total(cost_matrix(src, dst, kind))
-    c = costs(src, dst)
-    total = costs.totals.get(c.values)
-    if total is None:
-        total = costs.totals[c.values] = _solved_total(c)
-    return total
+    return solved(src, dst)
 
 
 def _solved_total(c):
@@ -564,7 +585,7 @@ def plan_cost(matching, c):
     n = len(matching)
     if n != c.rows or n != c.cols:
         raise ShapeMismatchError(f"plan is {n}x{n}, costs are {c.rows}x{c.cols}")
-    if sorted(matching) != list(range(n)):
+    if not _is_matching(matching, n):
         raise ValueError(f"not a matching of {n} indices: {matching!r}")
     costs = [row[j] for row, j in zip(c.values, matching)]
     total = sum(costs) if c.is_exact else math.fsum(costs)

@@ -201,7 +201,8 @@ def test_criterion_5_candidate_matching_sweep():
     # each of 44 instances, so there the cheaper witnesses carry the verdict.
     agree = True
     for report_, oracle_n in ((flat, 7), (plane, 6)):
-        oracle = oracle_verdicts(report_.m, oracle_n, report_.sigmas)
+        sigmas = [Permutation(images) for images in report_.summary["sigmas"]]
+        oracle = oracle_verdicts(report_.summary["m"], oracle_n, sigmas)
         checked = set()
         agree &= sum(r["violation"] for r in report_.records) == report_.violations
         for r in report_.records:

@@ -633,8 +633,11 @@ REFUSED_SWEEPS = pytest.mark.parametrize(
          "n=13 exceeds the enumeration guard 12 for m=2; "
          "raise the max-cells limit to override (see --max-cells)"),
         (["--m", "2", "--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["--m", "1", "--n-max", "2001", "--max-cells", "2001"],
+         "n=2001 exceeds the assignment guard 2000"),
     ],
-    ids=["sweep-size", "orbit-table", "sigma-size", "enumeration", "n-max"],
+    ids=["sweep-size", "orbit-table", "sigma-size", "enumeration", "n-max",
+         "assignment"],
 )
 
 
@@ -675,7 +678,7 @@ def test_a_refused_library_sweep_raises_what_verify_prints(monkeypatch, argv, me
     sigmas = cli._sigma_set(args.sigma or ["all"], args.m + 1)
     _refuse_to_build(monkeypatch)
     with pytest.raises((PartitionOTError, ValueError)) as info:  # as `main` catches
-        verify_theorem_cor(args.m, args.n_max, sigmas)
+        verify_theorem_cor(args.m, args.n_max, sigmas, max_cells=args.max_cells)
     hint = " (see --max-cells)" if info.type is EnumerationTooLargeError else ""
     assert f"{info.value}{hint}" == message
 

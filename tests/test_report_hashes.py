@@ -25,6 +25,7 @@ from partition_ot import (
     solve_assignment,
     symmetrize,
     to_json,
+    transport,
     verify_theorem_cor,
     verify_theorem_main,
 )
@@ -58,6 +59,25 @@ SIGMA_SETS = {"involutions": involutions, "all": all_permutations}
     ids=[f"{t}-m{m}-n{n}-{s}-{k}" for t, m, n, s, k, _ in CASES],
 )
 def test_report_bytes_are_pinned(theorem, m, n_max, sigmas, kind, digest):
+    report = SWEEPS[theorem](m, n_max, SIGMA_SETS[sigmas](m + 1), kind=kind)
+    text = report.to_jsonl()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "theorem, m, n_max, sigmas, kind, digest",
+    CASES,
+    ids=[f"{t}-m{m}-n{n}-{s}-{k}" for t, m, n, s, k, _ in CASES],
+)
+def test_a_sweep_solves_through_its_layer_alone(monkeypatch, theorem, m, n_max,
+                                               sigmas, kind, digest):
+    # every sweep solve runs through its layer's cost table
+    # (`_CostTable.total`), never through the public `optimal_total`
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called the public optimal_total")
+
+    monkeypatch.setattr(transport, "optimal_total", refuse)
+    monkeypatch.setattr(theorems, "optimal_total", refuse)
     report = SWEEPS[theorem](m, n_max, SIGMA_SETS[sigmas](m + 1), kind=kind)
     text = report.to_jsonl()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

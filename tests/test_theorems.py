@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_ot import (
+    ASSIGNMENT_MAX_N,
     SQUARED_EUCLIDEAN,
     SWEEP_MAX_M,
     InstanceTooLargeError,
@@ -25,6 +26,7 @@ from partition_ot import (
     hybrid_plan,
     involutions,
     measure_of,
+    optimal_total,
     plan_cost,
     solve_assignment,
     symmetrize,
@@ -525,7 +527,7 @@ def test_report_records_match_the_uncached_sweep():
 
 def test_orbits_share_a_line_template_only_when_fields_print_alike(monkeypatch):
     # orbit-invariant fields whose values compare equal but print apart
-    def record(p, sigma, kind, costs=None):
+    def record(p, sigma, kind, total=None):
         src = measure_of(p)
         n = len(src)
         self_conjugate = sorted(c[::-1] for c in src) == list(src)
@@ -566,9 +568,9 @@ def test_the_main_sweep_and_hybrid_plan_run_one_integer_core(monkeypatch):
     calls = []
     real = theorems._hybrid_totals
 
-    def counting(p, sigma, kind, costs=None):
+    def counting(p, sigma, kind, total):
         calls.append((p.entries, sigma.images))
-        return real(p, sigma, kind, costs)
+        return real(p, sigma, kind, total)
 
     def refuse(*args):
         raise AssertionError("the main sweep built a Fraction")
@@ -621,7 +623,9 @@ def test_a_euclid_main_sweep_is_refused_before_enumerating(monkeypatch):
 @pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
 def test_a_layer_cost_table_gives_the_built_matrices(kind):
     # every (cells, sigma-image) pair of one layer, the l1 moved
-    # sub-tuples and a 1 x 1 pair; floats are compared with ==
+    # sub-tuples and a 1 x 1 pair; floats are compared with ==.  The
+    # table's totals, which a sweep takes in place of `optimal_total`,
+    # follow the same rule from the cut matrices and the memo
     parts = enumerate_partitions(2, 6)
     table = transport._CostTable(sorted({x for p in parts for x in p.cells}), kind)
     pairs = []
@@ -637,6 +641,8 @@ def test_a_layer_cost_table_gives_the_built_matrices(kind):
     assert sum(len(src) == 1 for src, _ in pairs) > 1
     for src, dst in pairs:
         assert table(src, dst) == cost_matrix(src, dst, kind)
+        assert table.total(src, dst) == optimal_total(src, dst, kind)
+    assert 0 < len(table.totals) < len(pairs)
 
 
 def test_a_main_sweep_builds_one_cost_matrix_per_n(monkeypatch):
@@ -686,6 +692,33 @@ def test_the_orbit_table_guard_admits_the_m7_involution_sweeps():
     sigmas = involutions(8)
     assert len(sigmas) * 40320 <= theorems.SWEEP_MAX_CONJUGATES
     theorems._check_sweep("cor", 7, 1, sigmas, "sq", None)  # checked, not built
+
+
+@pytest.mark.parametrize(
+    "sweep", [verify_theorem_main, verify_theorem_cor], ids=["main", "cor"]
+)
+def test_the_gate_refuses_a_kind_and_an_n_max_that_no_solve_takes(monkeypatch, sweep):
+    # a sweep solves through its layer's table, which checks neither per
+    # instance; the gate refuses both before the orbit table or any layer
+    from partition_ot import partitions
+
+    sigmas = involutions(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an orbit table entry or a partition")
+
+    monkeypatch.setattr(partitions, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    message = r"^unknown cost kind 'l2'; expected one of \('sq', 'euclid', 'l1'\)$"
+    # the kind comes first, before the type of m or the value of n_max
+    for m, n_max in ((2, 3), (2.0, 0)):
+        with pytest.raises(ValueError, match=message):
+            sweep(m, n_max, sigmas, kind="l2")
+    n = ASSIGNMENT_MAX_N + 1
+    message = f"^n={n} exceeds the assignment guard {ASSIGNMENT_MAX_N}$"
+    with pytest.raises(InstanceTooLargeError, match=message):
+        sweep(1, n, [SWAP], max_cells=n)
 
 
 def test_sweep_checks_the_enumeration_guard_at_n_max_first(monkeypatch):

@@ -595,6 +595,21 @@ def test_optimal_total_checks_kind_and_size(monkeypatch):
         optimal_total(src, src, "sq")
 
 
+@pytest.mark.parametrize("kind", COST_KINDS)
+def test_optimal_total_refuses_tuples_of_unequal_length(monkeypatch, kind):
+    # "l1" once cancelled the shared point and read the 0 x 1 matrix left
+    # as 0 x 0, at total 0; every kind now refuses before any matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a cost matrix")
+
+    monkeypatch.setattr(transport, "cost_matrix", refuse)
+    one, two = ((0, 0),), ((0, 0), (1, 0))
+    with pytest.raises(NotSquareError, match="^cost matrix is 1x2$"):
+        optimal_total(one, two, kind)
+    with pytest.raises(NotSquareError, match="^cost matrix is 2x1$"):
+        optimal_total(two, one, kind)
+
+
 @pytest.mark.parametrize("kind", ["l1", "sq"])
 def test_wasserstein_triangle_inequality(kind):
     # W is a metric under l1, exactly; under sq the metric is sqrt(W).
@@ -673,6 +688,25 @@ def test_plan_json_diagonal():
 def test_plan_cost_rejects_non_matching():
     with pytest.raises(ValueError):
         plan_cost((0, 0), CostMatrix("sq", [[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize(
+    "matching, values",
+    [((1.0, 0.0), [[0, 1], [1, 0]]), ((1, 0.0), [[0, 1], [1, 0]]),
+     ((True, False), [[0, 1], [1, 0]]), ((False,), [[0]]),
+     (("1", 0), [[0, 1], [1, 0]]), (("0", "1"), [[0, 1], [1, 0]])],
+    ids=["float", "int-and-float", "bool", "one-bool", "str-and-int", "str"],
+)
+def test_a_matching_is_a_permutation_of_int_indices(matching, values):
+    # plan_cost and check_certificate share one rule: ints, no bools, that
+    # permute range(n).  Floats and bools once passed a sorted() compare,
+    # and (False,) was costed as row 0's plan.
+    c = CostMatrix("sq", values)
+    res = solve_assignment(c)
+    assert check_certificate(c, res) and plan_cost(res.matching, c) == 0
+    assert not check_certificate(c, res._replace(matching=matching))
+    with pytest.raises(ValueError, match=rf"^not a matching of {c.rows} indices: .*\)$"):
+        plan_cost(matching, c)
 
 
 def test_plan_cost_zero_on_identity():

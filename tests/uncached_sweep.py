@@ -4,14 +4,16 @@ The differential oracle for `theorems._sweep`, which runs the claim once per
 symmetry orbit of (p, sigma), serializes each orbit's fields once into a
 line template and counts the summary from orbit sizes.  This reference has no
 orbit cache: every (partition, sigma) instance gets its own `record` call,
-its own dict record and its own `json.dumps`, and the per-sigma table scans
-the records once per sigma.
+which solves through the public `optimal_total` rather than a layer's cost
+table, its own dict record and its own `json.dumps`, and the per-sigma table
+scans the records once per sigma.
 """
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
-from partition_ot import enumerate_partitions, to_json
+from partition_ot import enumerate_partitions, optimal_total, to_json
 from partition_ot.theorems import _cor_counts, _cor_record, _main_counts, _main_record
 
 CLAIMS = {"main": (_main_record, _main_counts), "cor": (_cor_record, _cor_counts)}
@@ -64,7 +66,7 @@ def uncached_sweep(theorem, m, n_max, sigmas, kind):
                         "n": n,
                         "partition": entries,
                         "sigma": list(sigma.images),
-                        **record(p, sigma, kind),
+                        **record(p, sigma, kind, partial(optimal_total, kind=kind)),
                     }
                 )
     summary = {
