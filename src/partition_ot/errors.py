@@ -34,7 +34,7 @@ class DimensionMismatchError(PartitionOTError):
 
 
 class NotSquareError(PartitionOTError):
-    """Assignment needs a square cost matrix."""
+    """A cost matrix needs sides of one length."""
 
 
 class NonIntegerCostsError(PartitionOTError):

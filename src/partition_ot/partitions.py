@@ -63,8 +63,16 @@ class _Frozen:
     """Immutable value whose ==, hash and repr read the fields in `_fields`.
 
     As a frozen dataclass's would, without importing `dataclasses`.  Other
-    attributes, such as `MultiPartition.cells`, stay out of all three.
+    attributes, such as `MultiPartition.cells`, stay out of all three.  A
+    value comes from its checking constructor or, built valid, `_unchecked`.
     """
+
+    @classmethod
+    def _unchecked(cls, **fields):
+        """A value the library built valid, made without its check."""
+        v = object.__new__(cls)
+        v.__dict__.update(fields)
+        return v
 
     def _key(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -126,13 +134,6 @@ class MultiPartition(_Frozen):
         if n > _CELL_CAP:
             raise InstanceTooLargeError(f"n={n} exceeds the cell guard {_CELL_CAP}")
         self.__dict__.update(m=m, entries=entries, n=n)
-
-    @classmethod
-    def _unchecked(cls, m, entries, n, cells):
-        """A partition the library built valid, made without the check."""
-        p = object.__new__(cls)
-        p.__dict__.update(m=m, entries=entries, n=n, cells=cells)
-        return p
 
     @cached_property
     def cells(self):
@@ -372,7 +373,7 @@ def _from_diagram(cells):
         heights[base] = heights.get(base, 0) + 1
     m = len(cells[0]) - 1
     entries = _nest(list(heights.items()), m)
-    return MultiPartition._unchecked(m, entries, len(cells), cells)
+    return MultiPartition._unchecked(m=m, entries=entries, n=len(cells), cells=cells)
 
 
 def _nest(leaves, depth):
@@ -431,7 +432,7 @@ def enumerate_partitions(m, n, max_cells=None):
     """
     _check_guard(m, n, max_cells)
     parts = [
-        MultiPartition._unchecked(m, e, n, _sorted_cells(m, e))
+        MultiPartition._unchecked(m=m, entries=e, n=n, cells=_sorted_cells(m, e))
         for e in _entry_trees(m, n)
     ]
     parts.sort(key=operator.attrgetter("cells"))

@@ -191,10 +191,10 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     "euclid", an m or n_max that is no int (a bool included), n_max below
     1, m above `SWEEP_MAX_M`, the enumeration guard at n_max (so every
     smaller n passes it too), n_max above `ASSIGNMENT_MAX_N`, an orbit
-    table of more than `SWEEP_MAX_CONJUGATES` entries, and a sigma of the
-    wrong size.  The sweep's solves (`_CostTable.total`) check none of
-    these per instance.  Called with no sigmas, it runs the checks that
-    come before a named sigma set is listed.
+    table of more than `SWEEP_MAX_CONJUGATES` entries, a sigma of the
+    wrong size and a sigma listed twice, whose tallies would merge.  The
+    sweep's solves (`_CostTable.total`) check none of these per instance.
+    Called with no sigmas, it runs the checks made before a set is listed.
     """
     _check_kind(kind)
     if theorem == "main":
@@ -219,6 +219,11 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
             raise SizeMismatchError(
                 f"permutation of size {sigma.size} cannot act on {m + 1} coordinates"
             )
+    seen = set()
+    for sigma in sigmas:
+        if sigma.images in seen:
+            raise ValueError(f"sigma {sigma.one_line()} is listed twice")
+        seen.add(sigma.images)
 
 
 def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
@@ -286,10 +291,9 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
                 batch += head, n_json, mid1, entries, mid2, sigma_json[i], tail
             write("".join(batch))
     weighted = [(fields, sum(per_sigma)) for _, fields, per_sigma in outcomes.values()]
-    sigma_counts = {s.images: [0, 0] for s in sigmas}
+    sigma_counts = {s.images: [0, 0] for s in sigmas}  # distinct, by the gate
     for _, fields, per_sigma in outcomes.values():
-        for sigma, k in zip(sigmas, per_sigma):
-            tally = sigma_counts[sigma.images]
+        for tally, k in zip(sigma_counts.values(), per_sigma):
             tally[0] += k
             tally[1] += k if fields["violation"] else 0
     summary = {
@@ -433,14 +437,13 @@ def _cor_counts(weighted):
 
 
 def format_summary(report):
-    """Human-readable per-sigma table for a sweep report."""
+    """Human-readable per-sigma table for a sweep report, rows summing to its total."""
     s = report.summary
     lines = [
         f"sweep {s['theorem']}: m={s['m']} n_max={s['n_max']} kind={s['kind']}",
         f"{'sigma':<12} {'instances':>9} {'violations':>10}",
     ]
-    for images in s["sigmas"]:  # one-line lists, a repeated sigma repeated
-        instances, bad = report.sigma_counts[tuple(images)]
+    for images, (instances, bad) in report.sigma_counts.items():
         one_line = " ".join(map(str, images))
         lines.append(f"{one_line:<12} {instances:>9} {bad:>10}")
     lines.append(f"total: {s['records']} records, {s['violations']} violations")

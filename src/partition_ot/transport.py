@@ -13,12 +13,12 @@ returns the LP dual of that assignment problem with its matching; the
 dual certifies optimality in O(n^2) and fixes the lex-smallest optimum.
 Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 `wasserstein`) then skip the lex step, as every optimum has their total.
-Cost entries are type-checked once, when a `CostMatrix` is built, and no
-solve scans them again.  A caller that solves many small problems over one
-point set, such as a sweep layer, builds that set's costs once
-(`_CostTable`) and solves through the table's `total`, which applies
-`optimal_total`'s rule, looks each matrix up instead of building it, and
-solves each distinct one once.
+A cost matrix is n x n: its shape and entry types are checked once, where
+it is built, and no solve checks them again.  A caller that solves many
+small problems over one point set, such as a sweep layer, builds that
+set's costs once (`_CostTable`) and solves through the table's `total`,
+which applies `optimal_total`'s rule, looks each matrix up instead of
+building it, and solves each distinct one once.
 """
 
 import itertools
@@ -76,13 +76,14 @@ POINT_COSTS = {
 
 
 class CostMatrix(_Frozen):
-    """Pairwise costs between a source and a target point list.
+    """Square pairwise costs between a source and a target point list.
 
     `values` holds exact integers for the "sq" and "l1" kinds and floats
     for "euclid".  The constructor is the trust boundary: it freezes
     `values` to a tuple of row tuples and raises ValueError for an unknown
-    kind or a non-int entry (bools included) under an exact kind, and
-    ShapeMismatchError for ragged rows.  Nothing checks the entries again.
+    kind or a non-int entry (bools included) under an exact kind,
+    ShapeMismatchError for ragged rows and NotSquareError for unequal
+    sides.  Nothing checks entries or shape again: `cols` is `rows`.
     """
 
     _fields = ("kind", "values")
@@ -96,22 +97,15 @@ class CostMatrix(_Frozen):
                     raise ValueError(f"cost entry {v!r} is not an integer")
         if len(set(map(len, values))) > 1:
             raise ShapeMismatchError("ragged cost matrix")
+        if values and len(values[0]) != len(values):
+            raise NotSquareError(f"cost matrix is {len(values)}x{len(values[0])}")
         self.__dict__.update(kind=kind, values=values)
-
-    @classmethod
-    def _unchecked(cls, kind, values):
-        """A matrix the library built valid, made without the check."""
-        c = object.__new__(cls)
-        c.__dict__.update(kind=kind, values=values)
-        return c
 
     @property
     def rows(self):
         return len(self.values)
 
-    @property
-    def cols(self):
-        return len(self.values[0]) if self.values else 0
+    cols = rows
 
     @property
     def is_exact(self):
@@ -122,10 +116,11 @@ _add_terms = partial(map, add)  # element-wise sum of two term lists
 
 
 def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
-    """Costs between all pairs of two point tuples of equal dimension.
+    """Costs between all pairs of two equal-length point tuples of one dimension.
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
     The exact kinds need int, non-bool coordinates, which give int costs.
+    Unequal lengths raise NotSquareError before any entry is built.
     """
     _check_kind(kind)
     if kind != EUCLIDEAN:
@@ -135,14 +130,16 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     dims = set(map(len, itertools.chain(src, dst)))
     if len(dims) > 1:
         raise DimensionMismatchError(f"points of different dimensions {sorted(dims)}")
+    if len(src) != len(dst):
+        raise NotSquareError(f"cost matrix is {len(src)}x{len(dst)}")
     dim = dims.pop() if dims else 0
-    if not dim:  # no rows, or zero-dimensional points, which all coincide
+    if not dim:  # no points, or zero-dimensional ones, which all coincide
         zero = 0.0 if kind == EUCLIDEAN else 0
-        return CostMatrix._unchecked(kind, ((zero,) * len(dst),) * len(src))
+        return CostMatrix._unchecked(kind=kind, values=((zero,) * len(dst),) * len(src))
     # Each cost is a sum of one term per coordinate, so a row is the sum of
     # one term list per coordinate.  Cell coordinates take few values, and
     # each coordinate value's terms against `dst` are built once, on first use.
-    cols = list(zip(*dst)) if dst else [()] * dim
+    cols = list(zip(*dst))
     tables = [{} for _ in cols]
     l1 = kind == L1
     rows = []
@@ -158,10 +155,8 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
             terms.append(t)
         rows.append(tuple(reduce(_add_terms, terms)))
     if kind == EUCLIDEAN:
-        return CostMatrix._unchecked(
-            kind, tuple(tuple(map(math.sqrt, row)) for row in rows)
-        )
-    return CostMatrix._unchecked(kind, tuple(rows))
+        rows = [tuple(map(math.sqrt, row)) for row in rows]
+    return CostMatrix._unchecked(kind=kind, values=tuple(rows))
 
 
 class _CostTable:
@@ -195,7 +190,7 @@ class _CostTable:
         # an itemgetter of one index returns that entry, not a 1-tuple
         cut = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
         rows = map(cut, map(self.row_of, src))
-        return CostMatrix._unchecked(self.kind, tuple(rows))
+        return CostMatrix._unchecked(kind=self.kind, values=tuple(rows))
 
     def total(self, src, dst):
         return _moved_total(src, dst, self.kind, self._memo_total)
@@ -264,8 +259,6 @@ def _certified_solve(c):
     "euclid") and an `AssignmentResult` in its units, which passes
     `check_certificate`.  Raises RuntimeError on a dual that does not.
     """
-    if c.rows != c.cols:
-        raise NotSquareError(f"cost matrix is {c.rows}x{c.cols}")
     _check_assignment_size(c.rows)
     if c.is_exact:  # int entries, checked when `c` was built
         costs = c.values
@@ -292,8 +285,7 @@ def check_certificate(c, res):
     solver.  For "euclid" it runs on the same 2^40 grid the solver uses.
     """
     n = c.rows
-    matching = res.matching
-    if c.cols != n or res.duals is None or not _is_matching(matching, n):
+    if res.duals is None or not _is_matching(res.matching, n):
         return False
     u, v = res.duals
     if len(u) != n or len(v) != n:
@@ -305,7 +297,7 @@ def check_certificate(c, res):
     for row, ui in zip(grid, u):
         if any(cij < ui + vj for cij, vj in zip(row, v)):
             return False
-    total = sum(row[j] for row, j in zip(grid, matching))
+    total = sum(row[j] for row, j in zip(grid, res.matching))
     if c.is_exact and res.total != total:
         return False
     return sum(u) + sum(v) == total
@@ -322,8 +314,6 @@ def solve_bruteforce(c):
     Ties resolve to the lexicographically smallest matching because
     permutations are visited in lexicographic order.
     """
-    if c.rows != c.cols:
-        raise NotSquareError(f"cost matrix is {c.rows}x{c.cols}")
     n = c.rows
     if n > BRUTE_FORCE_MAX:
         raise InstanceTooLargeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX}")
@@ -583,7 +573,7 @@ def plan_cost(matching, c):
     The matching total divided by n, as `distance_of_total` gives it.
     """
     n = len(matching)
-    if n != c.rows or n != c.cols:
+    if n != c.rows:
         raise ShapeMismatchError(f"plan is {n}x{n}, costs are {c.rows}x{c.cols}")
     if not _is_matching(matching, n):
         raise ValueError(f"not a matching of {n} indices: {matching!r}")
@@ -593,12 +583,17 @@ def plan_cost(matching, c):
 
 
 def plan_to_json(matching, total):
-    """Wire form: mass 1/n on each matched pair (i, j), and the exact cost."""
+    """Wire form: mass 1/n on each matched pair (i, j), and the exact cost.
+
+    `total` is a Fraction and `matching` permutes range(n), as in `plan_cost`.
+    """
     from fractions import Fraction
 
     if not isinstance(total, Fraction):
         raise NonIntegerCostsError("plan JSON carries an exact rational total")
     n = len(matching)
+    if not _is_matching(matching, n):
+        raise ValueError(f"not a matching of {n} indices: {matching!r}")
     return {
         "n": n,
         "entries": [

@@ -200,7 +200,7 @@ def test_repr_eq_and_hash_ignore_the_cells():
     assert repr(p) == "MultiPartition(m=1, entries=(4, 2), n=6)"
     assert from_cells(measure_of(p)) == p
     assert hash(from_cells(measure_of(p))) == hash(p)
-    stale = MultiPartition._unchecked(1, (4, 2), 6, ())
+    stale = MultiPartition._unchecked(m=1, entries=(4, 2), n=6, cells=())
     assert stale == p and hash(stale) == hash(p) and repr(stale) == repr(p)
 
 
@@ -515,7 +515,7 @@ def test_walks_follow_the_recursive_reference(case):
     # unchecked, so the walks also run on arrays that are no partition
     cells = partitions._sorted_cells(m, entries)
     assert cells == tuple(sorted(walk_reference.cells(entries, m)))
-    p = MultiPartition._unchecked(m, entries, len(cells), cells)
+    p = MultiPartition._unchecked(m=m, entries=entries, n=len(cells), cells=cells)
     real, walks = partitions._checked_leaves, []
 
     def recording(*args):

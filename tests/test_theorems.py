@@ -497,7 +497,7 @@ REPEATED = [Permutation.from_one_line(s) for s in ("2 3 1", "1 2 3", "1 3 2", "1
         ("main", 2, 7, all_permutations(3), "sq"),
         ("cor", 1, 12, all_permutations(2), "euclid"),
         ("main", 2, 8, NOT_CLOSED, "sq"),
-        ("cor", 2, 6, REPEATED, "euclid"),
+        ("cor", 2, 6, REPEATED[:3], "euclid"),  # the gate refuses the repeat
         ("cor", 3, 5, all_permutations(4), "sq"),
         ("cor", 3, 5, all_permutations(4), "l1"),
         ("cor", 3, 5, all_permutations(4), "euclid"),
@@ -686,6 +686,31 @@ def test_the_orbit_table_guard_refuses_before_any_entry(monkeypatch):
     with pytest.raises(InstanceTooLargeError, match=message):
         verify_theorem_main(7, 1, sigmas)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "sweep", [verify_theorem_main, verify_theorem_cor], ids=["main", "cor"]
+)
+def test_a_sigma_listed_twice_is_refused_before_anything_is_built(monkeypatch, sweep):
+    # the per-sigma tallies are keyed by images: a repeated sigma once
+    # printed two rows of one merged tally, which summed past the total
+    from partition_ot import partitions
+
+    size_first = [Permutation.identity(3)] * 2 + [SWAP]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an orbit table entry or a partition")
+
+    monkeypatch.setattr(partitions, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "_cell_action", refuse)
+    monkeypatch.setattr(theorems, "enumerate_partitions", refuse)
+    with pytest.raises(ValueError, match="^sigma 1 3 2 is listed twice$"):
+        sweep(2, 3, REPEATED)
+    with pytest.raises(ValueError, match="^sigma 1 2 3 is listed twice$"):
+        theorems._check_sweep("cor", 2, 3, REPEATED[1:2] * 2, "sq", None)
+    # after the size checks
+    with pytest.raises(SizeMismatchError, match="permutation of size 2 cannot act on 3"):
+        sweep(2, 3, size_first)
 
 
 def test_the_orbit_table_guard_admits_the_m7_involution_sweeps():

@@ -125,10 +125,13 @@ def test_monotone_refuses_ragged_pairs():
 
 @st.composite
 def point_lists(draw):
-    """Source and target int points of one dimension, some beyond 2^64."""
+    """Source and target int points of one dimension and one count, some
+    beyond 2^64."""
     coord = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
     point = st.tuples(*[coord] * draw(st.integers(1, 4)))
-    return draw(st.lists(point, max_size=5)), draw(st.lists(point, max_size=5))
+    k = draw(st.integers(0, 5))
+    side = st.lists(point, min_size=k, max_size=k)
+    return draw(side), draw(side)
 
 
 @st.composite
@@ -136,7 +139,9 @@ def repeated_point_lists(draw):
     """Up to 30 points a side with coordinates in 0..4, so that coordinate
     values recur and `cost_matrix` reuses their term lists."""
     point = st.tuples(*[st.integers(0, 4)] * draw(st.integers(1, 6)))
-    return draw(st.lists(point, max_size=30)), draw(st.lists(point, max_size=30))
+    k = draw(st.integers(0, 30))
+    side = st.lists(point, min_size=k, max_size=k)
+    return draw(side), draw(side)
 
 
 @settings(max_examples=500, deadline=None)
@@ -158,11 +163,15 @@ def test_cost_matrix_matches_per_entry_distances(points, kind):
 
 @pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
 def test_cost_matrix_empty_sides_and_points(kind):
-    c = cost_matrix([(0,)], [], kind)
-    assert c.values == ((),) and (c.rows, c.cols) == (1, 0)
-    c = cost_matrix([], [(1, 2)], kind)
+    # a side with no points was once built as 1 x 0, or read as 0 x 0
+    # when the rows were the empty side; unequal sides are now refused
+    for src, dst, shape in (([(0,)], [], "1x0"), ([], [(1, 0)], "0x1"),
+                            ([()], [(), ()], "1x2")):
+        with pytest.raises(NotSquareError, match=f"^cost matrix is {shape}$"):
+            cost_matrix(src, dst, kind)
+    c = cost_matrix([], [], kind)
     assert c.values == () and (c.rows, c.cols) == (0, 0)
-    assert cost_matrix([()], [(), ()], kind).values == ((0, 0),)
+    assert cost_matrix([(), ()], [(), ()], kind).values == ((0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +293,39 @@ def test_lexicographic_tie_break():
 
 
 def test_not_square():
-    with pytest.raises(NotSquareError):
-        solve_assignment(CostMatrix("sq", [[1, 2, 3], [4, 5, 6]]))
-    with pytest.raises(NotSquareError):
-        solve_bruteforce(CostMatrix("sq", [[1, 2, 3], [4, 5, 6]]))
+    # refused where the matrix is built, so no solve meets one
+    for values in ([[1, 2, 3], [4, 5, 6]], [[]], [[1], [2]]):
+        rows, cols = len(values), len(values[0])
+        with pytest.raises(NotSquareError, match=f"^cost matrix is {rows}x{cols}$"):
+            CostMatrix("sq", values)
+    with pytest.raises(NotSquareError, match="^cost matrix is 2x3$"):
+        cost_matrix([(0, 0), (1, 0)], [(0, 0), (1, 0), (0, 1)], "sq")
+    c = CostMatrix("sq", [[1, 2], [4, 3]])
+    assert (c.rows, c.cols) == (2, 2)
+
+
+def test_cost_matrix_refuses_unequal_sides_before_any_entry(monkeypatch):
+    # the kind, coordinate and dimension refusals keep their order; the
+    # shape is refused after them, before the first term list is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a cost entry")
+
+    monkeypatch.setattr(transport, "reduce", refuse)  # sums a row's terms
+    monkeypatch.setattr(CostMatrix, "_unchecked", refuse)
+    one, two = [(0, 0)], [(0, 0), (1, 0)]
+    for kind in COST_KINDS:
+        with pytest.raises(NotSquareError, match="^cost matrix is 1x2$"):
+            cost_matrix(one, two, kind)
+        with pytest.raises(NotSquareError, match="^cost matrix is 2x1$"):
+            cost_matrix(two, one, kind)
+        with pytest.raises(NotSquareError, match="^cost matrix is 0x2$"):
+            cost_matrix([], [(), ()], kind)
+        with pytest.raises(DimensionMismatchError):
+            cost_matrix(one, [(0,), (1,)], kind)
+    with pytest.raises(ValueError, match="unknown cost kind"):
+        cost_matrix(one, two, "l2")
+    with pytest.raises(NonIntegerCostsError):
+        cost_matrix([(0.5, 0)], two, "sq")
 
 
 def test_bruteforce_guard():
@@ -740,6 +778,21 @@ def test_plan_cost_positive_on_self_symmetric_rotation():
 def test_plan_cost_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         plan_cost((0, 1), pair_measures(P42, P2211))
+
+
+@pytest.mark.parametrize(
+    "matching",
+    [(0, 0), (1.0, 0), (True, False), (0, 2), (-1, 0)],
+    ids=["duplicate", "float", "bool", "out-of-range", "negative"],
+)
+def test_plan_json_refuses_a_non_matching(matching):
+    # plan_to_json((0, 0), 1/2) once wrote the entries 0 -> 0 and 1 -> 0;
+    # it applies the rule plan_cost and check_certificate share
+    with pytest.raises(ValueError, match=r"^not a matching of 2 indices: .*\)$"):
+        plan_to_json(matching, Fraction(1, 2))
+    # the total is checked first and keeps its error
+    with pytest.raises(NonIntegerCostsError):
+        plan_to_json(matching, 0.5)
 
 
 def test_plan_json():
