@@ -324,15 +324,28 @@ def _listify(node):
 
 
 def _sorted_cells(m, entries):
-    """The diagram cells of `entries`, sorted: by height, then index order."""
-    cells = []
+    """The diagram cells of `entries`, sorted: by height, then index order.
+
+    Uncached, so a partition read from input leaves nothing behind;
+    enumeration stacks its cells from cached layers (`_stacked_cells`).
+    """
+    levels = enumerate(_levels(m, entries))
+    return tuple([(h,) + base for h, level in levels for base in level])
+
+
+def _levels(m, entries):
+    """The index tuples of `entries`' cells at each height, lowest first.
+
+    The leaves at a height are those whose part is above it, in index
+    order.  Each height's are filtered from the height below, so the walk
+    costs one step per cell, also on a hook such as (k, 1, ..., 1).
+    """
+    levels = []
     level = _leaves(entries, m)
-    height = 0
     while level:
-        cells.extend((height,) + base for base, _ in level)
-        height += 1
-        level = [(base, part) for base, part in level if part > height]
-    return tuple(cells)
+        levels.append(tuple([base for base, _ in level]))
+        level = [leaf for leaf in level if leaf[1] > len(levels)]
+    return tuple(levels)
 
 
 def from_cells(cells):
@@ -432,7 +445,7 @@ def enumerate_partitions(m, n, max_cells=None):
     """
     _check_guard(m, n, max_cells)
     parts = [
-        MultiPartition._unchecked(m=m, entries=e, n=n, cells=_sorted_cells(m, e))
+        MultiPartition._unchecked(m=m, entries=e, n=n, cells=_stacked_cells(m, e))
         for e in _entry_trees(m, n)
     ]
     parts.sort(key=operator.attrgetter("cells"))
@@ -492,11 +505,45 @@ def _extended(sub_m, prev, prev_size, remaining, acc):
         yield acc
         return
     for size in range(min(remaining, prev_size), 0, -1):
-        for layer in _entry_trees(sub_m, size):
-            if _dominated(layer, prev):
-                yield from _extended(
-                    sub_m, layer, size, remaining - size, acc + (layer,)
-                )
+        for layer in _layers_under(sub_m, prev, size):
+            yield from _extended(sub_m, layer, size, remaining - size, acc + (layer,))
+
+
+def _stacked_cells(m, layers):
+    """The sorted cells of the partition stacked from `layers`, as `_sorted_cells`.
+
+    Enumeration's cell builder.  Each layer's `_levels` come from a cache,
+    so no partition walks its layers again: the rows still standing at
+    each height are filtered from those at the height below, one step per
+    (height, layer) pair, and each cell is one tuple.
+    """
+    heights = []
+    rows = [(i, _layer_levels(m - 1, layer)) for i, layer in enumerate(layers)]
+    while rows:
+        heights.append(rows)
+        height = len(heights)
+        rows = [row for row in rows if len(row[1]) > height]
+    return tuple([
+        (h, i) + base
+        for h, rows in enumerate(heights)
+        for i, levels in rows
+        for base in levels[h]
+    ])
+
+
+# each layer's `_levels`: a layer is an entry tree of depth m - 1 (a part
+# when m is 1), and every stack that holds it shares the one tuple
+_layer_levels = lru_cache(maxsize=None)(_levels)
+
+
+@lru_cache(maxsize=None)
+def _layers_under(sub_m, prev, size):
+    """The layers of `size` cells under layer `prev`, in `_entry_trees` order.
+
+    Every prefix of a stack that ends in `prev` asks for the same layers,
+    so each (prev, size) is filtered through `_dominated` once.
+    """
+    return tuple(q for q in _entry_trees(sub_m, size) if _dominated(q, prev))
 
 
 def _dominated(q, p):

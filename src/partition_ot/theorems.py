@@ -248,6 +248,8 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     matrix and keeps its total, so each distinct one is solved once per n.
     Each distinct outcome, the claim's fields, is serialized once into a
     line template that its instances fill with their n, partition and sigma.
+    A partition's entries are written as the array of its layers' texts,
+    its parts for m = 1, and each distinct layer is encoded once per sweep.
     """
     record, counts = _CLAIMS[theorem]
     sigmas = tuple(sigmas)
@@ -260,6 +262,9 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     # order are fixed; repr tells apart what json prints apart (True and 1,
     # 0.0 and -0.0), and equal reprs print alike
     outcomes = {}
+    # json writes tuples as arrays, so a partition's entries are the array
+    # of its layers' texts (of its parts, for m = 1), each encoded once
+    layer_json = _Encoded()
     keys = _orbit_keys(m, sigmas, theorem == "cor" and kind != EUCLIDEAN)
     for n in range(1, n_max + 1):
         parts = enumerate_partitions(m, n, max_cells=max_cells)
@@ -283,7 +288,7 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
         # write the layer, one string per partition
         n_json = str(n)
         for p, row in zip(parts, rows):
-            entries = _dumps(p.entries)  # json writes tuples as arrays
+            entries = "[" + ",".join(map(layer_json.__getitem__, p.entries)) + "]"
             batch = []
             for i, key in enumerate(row):
                 (head, mid1, mid2, tail), _, per_sigma = orbits[key]
@@ -309,6 +314,16 @@ def _sweep(theorem, m, n_max, sigmas, kind, max_cells, write=None):
     write(_dumps(summary) + "\n")
     lines = tuple(lines[:-1])  # the last is the summary
     return SweepReport(lines, summary, sigma_counts)
+
+
+class _Encoded(dict):
+    """Each key's `_dumps` text, encoded on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = self[value] = _dumps(value)
+        return text
 
 
 _SLOT = "\0"  # placeholder of a record line's per-instance fields

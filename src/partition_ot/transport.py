@@ -23,6 +23,7 @@ building it, and solves each distinct one once.
 
 import itertools
 import math
+import sys
 from collections import namedtuple
 from functools import partial, reduce
 from operator import add, getitem, itemgetter, sub
@@ -56,6 +57,9 @@ ASSIGNMENT_MAX_N = 2000
 _MONOTONE_MAX_WORK = 10**8
 
 _EUCLID_SCALE = 1 << 40  # fixed-precision grid for the irrational kind
+# the largest cost whose grid value is a finite float: scaling by a power of
+# two is exact, so a float v has a finite grid value exactly when |v| <= this
+_EUCLID_MAX = sys.float_info.max / _EUCLID_SCALE
 _EUCLID_EPS = 1e-9
 
 
@@ -79,11 +83,13 @@ class CostMatrix(_Frozen):
     """Square pairwise costs between a source and a target point list.
 
     `values` holds exact integers for the "sq" and "l1" kinds and floats
-    for "euclid".  The constructor is the trust boundary: it freezes
-    `values` to a tuple of row tuples and raises ValueError for an unknown
-    kind or a non-int entry (bools included) under an exact kind,
-    ShapeMismatchError for ragged rows and NotSquareError for unequal
-    sides.  Nothing checks entries or shape again: `cols` is `rows`.
+    (or ints) for "euclid".  The constructor is the trust boundary: it
+    freezes `values` to a tuple of row tuples and raises ValueError for an
+    unknown kind, a non-int entry (bools included) under an exact kind, and
+    under "euclid" a bool, an entry that is no int or float, or one whose
+    2^40-grid value is no finite float (nan, inf, 1e300, 10**400).  It
+    raises ShapeMismatchError for ragged rows and NotSquareError for
+    unequal sides.  Nothing checks entries or shape again: `cols` is `rows`.
     """
 
     _fields = ("kind", "values")
@@ -91,10 +97,19 @@ class CostMatrix(_Frozen):
     def __init__(self, kind, values):
         _check_kind(kind)
         values = tuple(map(tuple, values))
+        entries = itertools.chain.from_iterable(values)
         if kind != EUCLIDEAN:
-            for v in itertools.chain.from_iterable(values):
+            for v in entries:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"cost entry {v!r} is not an integer")
+        else:
+            for v in entries:  # a nan fails the range comparison too
+                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                        or not -_EUCLID_MAX <= v <= _EUCLID_MAX):
+                    raise ValueError(
+                        f"cost entry {v!r} is not an int or a float with a "
+                        f"finite 2^40-grid value"
+                    )
         if len(set(map(len, values))) > 1:
             raise ShapeMismatchError("ragged cost matrix")
         if values and len(values[0]) != len(values):
@@ -119,14 +134,21 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     """Costs between all pairs of two equal-length point tuples of one dimension.
 
     Rows follow `src` and columns follow `dst`, as listed by `measure_of`.
-    The exact kinds need int, non-bool coordinates, which give int costs.
-    Unequal lengths raise NotSquareError before any entry is built.
+    The exact kinds need int, non-bool coordinates, which give int costs;
+    "euclid" needs real, non-bool ones, and its costs pass the checks of
+    `CostMatrix` (ValueError).  Unequal lengths raise NotSquareError before
+    any entry is built.
     """
     _check_kind(kind)
+    kinds = set(map(type, itertools.chain(*src, *dst)))
     if kind != EUCLIDEAN:
-        kinds = set(map(type, itertools.chain(*src, *dst)))
         if bool in kinds or not all(issubclass(t, int) for t in kinds):
             raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
+    else:
+        from numbers import Real
+
+        if bool in kinds or not all(issubclass(t, Real) for t in kinds):
+            raise ValueError(f"kind {kind!r} requires real, non-bool coordinates")
     dims = set(map(len, itertools.chain(src, dst)))
     if len(dims) > 1:
         raise DimensionMismatchError(f"points of different dimensions {sorted(dims)}")
@@ -155,7 +177,13 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
             terms.append(t)
         rows.append(tuple(reduce(_add_terms, terms)))
     if kind == EUCLIDEAN:
-        rows = [tuple(map(math.sqrt, row)) for row in rows]
+        # checked: a float coordinate can give an inf or a nan, and an int
+        # one a squared distance that no float holds
+        try:
+            rows = [tuple(map(math.sqrt, row)) for row in rows]
+        except OverflowError:
+            raise ValueError("a squared distance is past float range") from None
+        return CostMatrix(kind, rows)
     return CostMatrix._unchecked(kind=kind, values=tuple(rows))
 
 
@@ -558,8 +586,10 @@ def distance_of_total(total, n, kind):
     Each matched pair carries mass 1/n, so the cost is the total over n: an
     exact Fraction for the integer kinds and a float for "euclid".  Its
     first Fraction loads `fractions`, which no sweep needs: the sweeps keep
-    the int total and write total/n in lowest terms with `math.gcd`.
+    the int total and write total/n in lowest terms with `math.gcd`.  n
+    must be an int >= 1, no bool.
     """
+    _check_int("n", n, 1)
     if kind == EUCLIDEAN:
         return total / n
     from fractions import Fraction

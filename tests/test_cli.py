@@ -151,6 +151,23 @@ def test_enumerate_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# `enumerate --m M --n N` listings: (line count, sha256 of the output)
+ENUMERATION_PINS = {
+    (2, 12): (1479, "562b9976101deaf5864f6dcdf62e7f82b6ffd025e0bebc35dbcbcfba82334101"),
+    (3, 8): (684, "cc787954a7ec6f7db12f91e5d90cffcc715ea780b67edd934d87cecd7eb86ba8"),
+    (4, 7): (835, "dc7aacdfbde3c89f53e62704cf7e01921ae0dbd5da8d89ae511ce0e0ca5f42b1"),
+}
+
+
+@pytest.mark.parametrize("m, n", ENUMERATION_PINS, ids=lambda v: str(v))
+def test_enumerate_bytes_are_pinned(capsys, m, n):
+    assert cli.main(["enumerate", "--m", str(m), "--n", str(n)]) == 0
+    text = capsys.readouterr().out
+    lines, digest = ENUMERATION_PINS[m, n]
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # symmetrize
 

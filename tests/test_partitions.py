@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import operator
 from unittest import mock
 
 import pytest
@@ -195,6 +197,91 @@ def test_partitions_carry_their_sorted_cells():
         assert q.cells == MultiPartition(2, q.entries).cells
 
 
+def _counted(op):
+    def compare(self, other):
+        _CountedPart.compared += 1
+        return op(int(self), other)
+
+    return compare
+
+
+class _CountedPart(int):
+    """A part that counts how often it is compared."""
+
+    compared = 0
+    __lt__, __le__ = _counted(operator.lt), _counted(operator.le)
+    __gt__, __ge__ = _counted(operator.gt), _counted(operator.ge)
+
+
+@pytest.mark.parametrize(
+    "m, entries",
+    [
+        (1, (200,) + (1,) * 200),  # a hook: one tall part, many short ones
+        (2, ((100,) + (1,) * 99, (1,) * 100)),
+        (3, (((50,) + (1,) * 49,),) + (((1,),),) * 50),
+    ],
+)
+def test_cells_cost_steps_linear_in_n(monkeypatch, m, entries):
+    """The cell builder compares parts at most twice per cell,
+    so a hook of n cells costs O(n) steps, not (tallest part) x (leaves)."""
+
+    def parts(node):
+        if isinstance(node, tuple):
+            return tuple(map(parts, node))
+        return _CountedPart(node)
+
+    monkeypatch.setattr(_CountedPart, "compared", 0)
+    cells = partitions._sorted_cells(m, parts(entries))
+    n = len(cells)
+    assert cells == MultiPartition(m, entries).cells
+    assert _CountedPart.compared <= 2 * n
+
+
+class _CountedLevels(tuple):
+    """A layer's levels, counting how often their height is read."""
+
+    read = 0
+
+    def __len__(self):
+        _CountedLevels.read += 1
+        return tuple.__len__(self)
+
+
+@pytest.mark.parametrize(
+    "m, entries",
+    [
+        (1, (200,) + (1,) * 200),
+        (2, ((100,) + (1,) * 99,) + ((1,),) * 100),
+        (3, (((50,) + (1,) * 49,),) + (((1,),),) * 50),
+    ],
+)
+def test_stacked_cells_cost_steps_linear_in_n(monkeypatch, m, entries):
+    """Enumeration's cell builder reads a layer's height at most twice per
+    cell, so a stack of one tall layer and many short ones costs O(n)."""
+    real = partitions._layer_levels
+    monkeypatch.setattr(
+        partitions, "_layer_levels", lambda sub_m, layer: _CountedLevels(real(sub_m, layer))
+    )
+    monkeypatch.setattr(_CountedLevels, "read", 0)
+    cells = partitions._stacked_cells(m, entries)
+    assert cells == MultiPartition(m, entries).cells
+    assert _CountedLevels.read <= 2 * len(cells)
+
+
+@pytest.mark.parametrize("m, n_max", [(1, 12), (2, 8), (3, 6), (4, 5)])
+def test_enumeration_builds_the_cells_of_its_entries(m, n_max):
+    for n in range(1, n_max + 1):
+        for p in enumerate_partitions(m, n):
+            assert p.cells == partitions._sorted_cells(m, p.entries)
+
+
+def test_a_large_hook_symmetrizes():
+    hook = MultiPartition(1, (20_000,) + (1,) * 20_000)
+    image = symmetrize(hook, Permutation.from_one_line("2 1"))
+    assert image.entries == (20_001,) + (1,) * 19_999
+    assert len(image.cells) == len(hook.cells) == 40_000
+
+
 def test_repr_eq_and_hash_ignore_the_cells():
     p = validate_array([4, 2], 1)
     assert repr(p) == "MultiPartition(m=1, entries=(4, 2), n=6)"
@@ -277,6 +364,37 @@ def test_enumerate_no_duplicates_and_all_valid():
             for p in parts:
                 revalidated = validate_array(to_json(p)["entries"], m)
                 assert revalidated == p and p.n == n
+
+
+@pytest.mark.parametrize("sub_m, top", [(1, 8), (2, 5)])
+def test_layers_under_are_the_layers_inside_the_diagram_in_order(sub_m, top):
+    # q lies under p exactly when q's diagram is inside p's
+    for prev_size in range(1, top + 1):
+        for prev in partitions._entry_trees(sub_m, prev_size):
+            inside = set(partitions._sorted_cells(sub_m, prev))
+            for size in range(1, prev_size + 1):
+                want = [
+                    q for q in partitions._entry_trees(sub_m, size)
+                    if inside.issuperset(partitions._sorted_cells(sub_m, q))
+                ]
+                assert list(partitions._layers_under(sub_m, prev, size)) == want
+
+
+def test_enumeration_checks_each_layer_pair_once(monkeypatch):
+    # fresh caches, so that every pair is met in this test
+    for cached in (partitions._entry_trees, partitions._layers_under):
+        monkeypatch.setattr(partitions, cached.__name__, functools.cache(cached.__wrapped__))
+    checked = []
+    dominated = partitions._dominated
+
+    def recording(q, p):
+        checked.append((q, p))
+        return dominated(q, p)
+
+    monkeypatch.setattr(partitions, "_dominated", recording)
+    assert count_partitions(2, 10) == 500
+    assert count_partitions(3, 7) == 307
+    assert len(set(checked)) == len(checked) > 0
 
 
 def test_enumeration_guard():

@@ -550,13 +550,17 @@ def test_a_main_sweep_builds_each_partition_s_cells_once(monkeypatch):
     from partition_ot import partitions
 
     built = []
-    real = partitions._sorted_cells
 
-    def counting(m, entries):
-        built.append(entries)
-        return real(m, entries)
+    def counting(real):
+        def build(m, entries):
+            built.append(entries)
+            return real(m, entries)
 
-    monkeypatch.setattr(partitions, "_sorted_cells", counting)
+        return build
+
+    # enumeration's builder and the one for a partition built any other way
+    for name in ("_stacked_cells", "_sorted_cells"):
+        monkeypatch.setattr(partitions, name, counting(getattr(partitions, name)))
     report = verify_theorem_main(2, 6, involutions(3))
     # 1 + 3 + 6 + 13 + 24 + 48 plane partitions of n <= 6
     assert len(built) == len(set(built)) == 95

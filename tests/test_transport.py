@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from partition_ot import (
     all_permutations,
     check_certificate,
     cost_matrix,
+    distance_of_total,
     enumerate_partitions,
     hybrid_plan,
     involutions,
@@ -238,7 +240,52 @@ def test_exact_costs_refuse_non_int_coordinates(kind):
         cost_matrix([(True, 0)], [(0, 0)], kind)
     with pytest.raises(NonIntegerCostsError):
         optimal_total(((True, 0), (0, 1)), ((0, 0), (0, 1)), kind)
-    assert cost_matrix([(True, 0)], [(0, 0)], "euclid").values == ((1.0,),)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["a", None, True, False, Fraction(1, 2), math.nan, math.inf, -math.inf, 1e300,
+     -1e297, 10**400],
+)
+def test_euclid_cost_matrix_refuses_what_its_grid_cannot_hold(bad):
+    # a str entry would make the solve's grid value "a" * 2**40, a 1 TiB
+    # string, so these are refused where the matrix is built, never solved
+    with pytest.raises(ValueError, match=f"cost entry {re.escape(repr(bad))} is not"):
+        CostMatrix("euclid", [[bad]])
+    with pytest.raises(ValueError, match="is not an int or a float"):
+        CostMatrix("euclid", [[0.0, 1.5], [1, bad]])
+
+
+def test_euclid_cost_matrix_takes_ints_and_finite_floats():
+    c = CostMatrix("euclid", [[0, 1e12], [-2.5, 3]])
+    assert c.values == ((0, 1e12), (-2.5, 3)) and not c.is_exact
+    # the largest entry whose 2^40-grid value is a finite float, and the next
+    top = transport._EUCLID_MAX
+    assert math.isfinite(top * 2**40) and solve_assignment(
+        CostMatrix("euclid", [[top, 0], [0, -top]])
+    ).total == 0.0
+    with pytest.raises(ValueError, match="is not an int or a float"):
+        CostMatrix("euclid", [[math.nextafter(top, math.inf)]])
+
+
+@pytest.mark.parametrize("point", [(True, 0), (0, False), ("a", 0), (None, 0)])
+def test_euclid_cost_matrix_refuses_bool_and_non_real_coordinates(point):
+    with pytest.raises(ValueError, match="requires real, non-bool coordinates"):
+        cost_matrix([point], [(0, 0)], "euclid")
+    with pytest.raises(ValueError, match="requires real, non-bool coordinates"):
+        optimal_total(((1, 1), point), ((0, 0), (0, 1)), "euclid")
+
+
+def test_euclid_cost_matrix_takes_real_coordinates_and_checks_its_costs():
+    assert cost_matrix([(0.5, 0)], [(0, 0)], "euclid").values == ((0.5,),)
+    assert cost_matrix([(Fraction(3, 2), 0)], [(0, 2)], "euclid").values == ((2.5,),)
+    for bad in (math.nan, math.inf, 1e200):  # an inf or nan cost, on the grid or not
+        with pytest.raises(ValueError, match="is not an int or a float"):
+            cost_matrix([(bad, 0)], [(0, 0)], "euclid")
+    # an int coordinate whose squared distance no float holds
+    with pytest.raises(ValueError, match="past float range"):
+        cost_matrix([(10**200, 0)], [(0, 0)], "euclid")
+    assert cost_matrix([(10**150, 0)], [(0, 0)], "euclid").values == ((1e150,),)
 
 
 def test_integer_cost_matrix_keeps_integer_entries():
@@ -745,6 +792,28 @@ def test_a_matching_is_a_permutation_of_int_indices(matching, values):
     assert not check_certificate(c, res._replace(matching=matching))
     with pytest.raises(ValueError, match=rf"^not a matching of {c.rows} indices: .*\)$"):
         plan_cost(matching, c)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: plan_cost((), CostMatrix("sq", [])), "n must be >= 1, got 0"),
+        (lambda: distance_of_total(3, 2.0, "sq"), "n must be an integer, got 2.0"),
+        (lambda: distance_of_total(3, True, "sq"), "n must be an integer, got True"),
+        (lambda: distance_of_total(0, 0, "l1"), "n must be >= 1, got 0"),
+    ],
+    ids=["empty-plan", "float-n", "bool-n", "zero-n"],
+)
+def test_a_distance_needs_an_int_n_of_at_least_one(call, message):
+    # these once raised a raw ZeroDivisionError or TypeError, or read True as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_distance_of_total_divides_by_n():
+    assert distance_of_total(14, 6, "sq") == Fraction(7, 3)
+    assert distance_of_total(0, 1, "l1") == 0
+    assert distance_of_total(3.0, 2, "euclid") == 1.5
 
 
 def test_plan_cost_zero_on_identity():
