@@ -410,12 +410,16 @@ def apply_permutation(cells, sigma):
     Permuting coordinates maps a down-set to a down-set, so the image is
     not checked.
     """
-    dim = len(cells[0])
+    _check_acts_on(sigma, len(cells[0]))
+    return tuple(sorted(map(sigma.apply_to_cell, cells)))
+
+
+def _check_acts_on(sigma, dim):
+    """Refuse a permutation whose size is not the cells' dimension `dim`."""
     if sigma.size != dim:
         raise SizeMismatchError(
             f"permutation of size {sigma.size} cannot act on {dim} coordinates"
         )
-    return tuple(sorted(map(sigma.apply_to_cell, cells)))
 
 
 def symmetrize(p, sigma):

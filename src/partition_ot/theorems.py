@@ -33,10 +33,11 @@ import operator
 from collections import namedtuple
 from functools import partial
 
-from .errors import InstanceTooLargeError, NonIntegerCostsError, SizeMismatchError
+from .errors import InstanceTooLargeError, NonIntegerCostsError
 from .measures import measure_of
 from .partitions import (
     _cell_action,
+    _check_acts_on,
     _check_guard,
     _check_int,
     apply_permutation,
@@ -215,10 +216,7 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
             f"above the sweep guard {SWEEP_MAX_CONJUGATES}"
         )
     for sigma in sigmas:
-        if sigma.size != m + 1:
-            raise SizeMismatchError(
-                f"permutation of size {sigma.size} cannot act on {m + 1} coordinates"
-            )
+        _check_acts_on(sigma, m + 1)
     seen = set()
     for sigma in sigmas:
         if sigma.images in seen:

@@ -14,7 +14,11 @@ dual certifies optimality in O(n^2) and fixes the lex-smallest optimum.
 Every solve checks that certificate; the "sq" and "l1" values (the sweeps,
 `wasserstein`) then skip the lex step, as every optimum has their total.
 A cost matrix is n x n: its shape and entry types are checked once, where
-it is built, and no solve checks them again.  A caller that solves many
+it is built, and no solve checks them again.  Each rule is written once:
+the point rule (`_check_points`) that `cost_matrix` and `optimal_total`
+run on every point, the certificate rule (`_certificate_fault`) that every
+solve and `check_certificate` apply, and the int matrix they apply it to
+(`_grid`, the 2^40 grid under "euclid").  A caller that solves many
 small problems over one point set, such as a sweep layer, builds that
 set's costs once (`_CostTable`) and solves through the table's `total`,
 which applies `optimal_total`'s rule, looks each matrix up instead of
@@ -64,11 +68,19 @@ _EUCLID_EPS = 1e-9
 
 
 def squared_distance(a, b):
+    if len(a) != len(b):
+        raise _dimension_mismatch({len(a), len(b)})
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
 def l1_distance(a, b):
+    if len(a) != len(b):
+        raise _dimension_mismatch({len(a), len(b)})
     return sum(abs(x - y) for x, y in zip(a, b))
+
+
+def _dimension_mismatch(dims):
+    return DimensionMismatchError(f"points of different dimensions {sorted(dims)}")
 
 
 # the cost of moving one unit mass from point a to point b, per cost kind
@@ -137,24 +149,10 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
     The exact kinds need int, non-bool coordinates, which give int costs;
     "euclid" needs real, non-bool ones, and its costs pass the checks of
     `CostMatrix` (ValueError).  Unequal lengths raise NotSquareError before
-    any entry is built.
+    any entry is built.  These checks are the point rule, `_check_points`,
+    which `optimal_total` runs too.
     """
-    _check_kind(kind)
-    kinds = set(map(type, itertools.chain(*src, *dst)))
-    if kind != EUCLIDEAN:
-        if bool in kinds or not all(issubclass(t, int) for t in kinds):
-            raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
-    else:
-        from numbers import Real
-
-        if bool in kinds or not all(issubclass(t, Real) for t in kinds):
-            raise ValueError(f"kind {kind!r} requires real, non-bool coordinates")
-    dims = set(map(len, itertools.chain(src, dst)))
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"points of different dimensions {sorted(dims)}")
-    if len(src) != len(dst):
-        raise NotSquareError(f"cost matrix is {len(src)}x{len(dst)}")
-    dim = dims.pop() if dims else 0
+    dim = _check_points(src, dst, kind)
     if not dim:  # no points, or zero-dimensional ones, which all coincide
         zero = 0.0 if kind == EUCLIDEAN else 0
         return CostMatrix._unchecked(kind=kind, values=((zero,) * len(dst),) * len(src))
@@ -185,6 +183,32 @@ def cost_matrix(src, dst, kind=SQUARED_EUCLIDEAN):
             raise ValueError("a squared distance is past float range") from None
         return CostMatrix(kind, rows)
     return CostMatrix._unchecked(kind=kind, values=tuple(rows))
+
+
+def _check_points(src, dst, kind):
+    """The point rule of `cost_matrix` and `optimal_total`; returns the dimension.
+
+    In order: the cost kind (ValueError), the coordinate types
+    (NonIntegerCostsError under the exact kinds, ValueError under
+    "euclid"), one dimension for every point (DimensionMismatchError) and
+    sides of one length (NotSquareError).
+    """
+    _check_kind(kind)
+    kinds = set(map(type, itertools.chain(*src, *dst)))
+    if kind != EUCLIDEAN:
+        if bool in kinds or not all(issubclass(t, int) for t in kinds):
+            raise NonIntegerCostsError(f"kind {kind!r} requires integer coordinates")
+    else:
+        from numbers import Real
+
+        if bool in kinds or not all(issubclass(t, Real) for t in kinds):
+            raise ValueError(f"kind {kind!r} requires real, non-bool coordinates")
+    dims = set(map(len, itertools.chain(src, dst)))
+    if len(dims) > 1:
+        raise _dimension_mismatch(dims)
+    if len(src) != len(dst):
+        raise NotSquareError(f"cost matrix is {len(src)}x{len(dst)}")
+    return dims.pop() if dims else 0
 
 
 class _CostTable:
@@ -283,24 +307,43 @@ def solve_assignment(c):
 def _certified_solve(c):
     """Some optimal matching of `c` with the dual that certifies it.
 
-    Returns the integer matrix solved (`c.values`, or the 2^40 grid for
-    "euclid") and an `AssignmentResult` in its units, which passes
-    `check_certificate`.  Raises RuntimeError on a dual that does not.
+    Returns the integer matrix solved (`_grid(c)`) and an `AssignmentResult`
+    in its units.  The dual passes `_certificate_fault`, the rule that
+    `check_certificate` applies; RuntimeError names the part that fails.
     """
     _check_assignment_size(c.rows)
-    if c.is_exact:  # int entries, checked when `c` was built
-        costs = c.values
-    else:
-        costs = [[round(v * _EUCLID_SCALE) for v in row] for row in c.values]
+    costs = _grid(c)
     col_of, u, v = _shortest_augmenting_paths(costs)
+    total = sum(map(getitem, costs, col_of))
+    if fault := _certificate_fault(costs, u, v, total):
+        raise RuntimeError(fault)
+    return costs, AssignmentResult(tuple(col_of), total, (tuple(u), tuple(v)))
+
+
+def _grid(c):
+    """The int matrix that a solve of `c` and its certificate run on.
+
+    That is `c.values` under the exact kinds, whose entries were checked as
+    ints when `c` was built, and under "euclid" each cost rounded on the
+    2^40 grid.
+    """
+    if c.is_exact:
+        return c.values
+    return [[round(x * _EUCLID_SCALE) for x in row] for row in c.values]
+
+
+def _certificate_fault(costs, u, v, total):
+    """Which part of the dual certificate fails on int `costs`, or None.
+
+    The rule: every reduced cost c_ij - u_i - v_j is >= 0, and sum(u) +
+    sum(v) equals `total`, the matched total, which then forces a zero
+    reduced cost on every matched pair.
+    """
     for i, (row, ui) in enumerate(zip(costs, u)):
         if min(map(sub, row, v)) < ui:  # a negative reduced cost in row i
-            raise RuntimeError(f"assignment dual infeasible in row {i}")
-    # with every reduced cost >= 0, equal sums force a zero on each matched pair
-    total = sum(map(getitem, costs, col_of))
+            return f"assignment dual infeasible in row {i}"
     if sum(u) + sum(v) != total:
-        raise RuntimeError("assignment dual does not certify the matching")
-    return costs, AssignmentResult(tuple(col_of), total, (tuple(u), tuple(v)))
+        return "assignment dual does not certify the matching"
 
 
 def check_certificate(c, res):
@@ -309,26 +352,22 @@ def check_certificate(c, res):
     This is the LP dual of the assignment problem, Kantorovich duality
     specialised to uniform marginals: u_i + v_j <= c_ij for every pair and
     sum(u) + sum(v) equal to the matching's total, which forces equality on
-    every matched pair.  The check is O(n^2) and shares no code with the
-    solver.  For "euclid" it runs on the same 2^40 grid the solver uses.
+    every matched pair.  The check is O(n^2).  It shares its rule
+    (`_certificate_fault`) and its grid (`_grid`, 2^40 for "euclid") with
+    every solve, but no code with the solver, so a fault in the solver is
+    not repeated in the check.  It first checks its input: duals present,
+    a matching of n indices, n duals a side, and under the exact kinds
+    `res.total` equal to the matched total.
     """
     n = c.rows
     if res.duals is None or not _is_matching(res.matching, n):
         return False
     u, v = res.duals
-    if len(u) != n or len(v) != n:
+    grid = _grid(c)
+    total = sum(map(getitem, grid, res.matching))
+    if len(u) != n or len(v) != n or c.is_exact and res.total != total:
         return False
-    if c.is_exact:
-        grid = c.values
-    else:
-        grid = [[round(x * _EUCLID_SCALE) for x in row] for row in c.values]
-    for row, ui in zip(grid, u):
-        if any(cij < ui + vj for cij, vj in zip(row, v)):
-            return False
-    total = sum(row[j] for row, j in zip(grid, res.matching))
-    if c.is_exact and res.total != total:
-        return False
-    return sum(u) + sum(v) == total
+    return _certificate_fault(grid, u, v, total) is None
 
 
 def _is_matching(matching, n):
@@ -340,18 +379,15 @@ def solve_bruteforce(c):
     """Exhaustive minimum over all n! matchings; oracle for solve_assignment.
 
     Ties resolve to the lexicographically smallest matching because
-    permutations are visited in lexicographic order.
+    permutations are visited in lexicographic order and `min` keeps the
+    first.
     """
     n = c.rows
     if n > BRUTE_FORCE_MAX:
         raise InstanceTooLargeError(f"brute force refuses n={n} > {BRUTE_FORCE_MAX}")
-    best = None
-    best_perm = None
-    for perm in itertools.permutations(range(n)):
-        tot = sum(c.values[i][perm[i]] for i in range(n))
-        if best is None or tot < best:
-            best, best_perm = tot, perm
-    return AssignmentResult(tuple(best_perm), best)
+    costs = partial(map, getitem, c.values)  # a matching's costs, row by row
+    best = min(itertools.permutations(range(n)), key=lambda perm: sum(costs(perm)))
+    return AssignmentResult(best, sum(costs(best)))
 
 
 def _check_assignment_size(n):
@@ -524,13 +560,14 @@ def optimal_total(src, dst, kind=SQUARED_EUCLIDEAN):
 
     Every solve checks its dual certificate.  "euclid" adds the lex step
     of `solve_assignment`, as its float total depends on the optimum summed.
-    Returns an int for the exact kinds and a float for "euclid".  Tuples of
-    unequal length raise NotSquareError before any matrix is built.
+    Returns an int for the exact kinds and a float for "euclid".  Every
+    point of `src` and `dst` passes `cost_matrix`'s point rule first,
+    before any shortcut or cancellation, so this raises what `cost_matrix`
+    raises on the same points: tuples of unequal length raise
+    NotSquareError before any matrix is built.
     """
-    _check_kind(kind)
+    _check_points(src, dst, kind)
     _check_assignment_size(len(src))
-    if len(src) != len(dst):
-        raise NotSquareError(f"cost matrix is {len(src)}x{len(dst)}")
     return _moved_total(
         src, dst, kind, lambda a, b: _solved_total(cost_matrix(a, b, kind))
     )
@@ -587,8 +624,9 @@ def distance_of_total(total, n, kind):
     exact Fraction for the integer kinds and a float for "euclid".  Its
     first Fraction loads `fractions`, which no sweep needs: the sweeps keep
     the int total and write total/n in lowest terms with `math.gcd`.  n
-    must be an int >= 1, no bool.
+    must be an int >= 1, no bool, and `kind` a cost kind.
     """
+    _check_kind(kind)
     _check_int("n", n, 1)
     if kind == EUCLIDEAN:
         return total / n

@@ -20,6 +20,7 @@ from partition_ot import (
     NonIntegerCostsError,
     NotDownSetError,
     NotSquareError,
+    POINT_COSTS,
     Permutation,
     ShapeMismatchError,
     all_permutations,
@@ -161,6 +162,22 @@ def test_cost_matrix_matches_per_entry_distances(points, kind):
         assert c.values == reference
         assert all(type(v) is int for row in c.values for v in row)
     assert CostMatrix(kind, c.values) == c  # built unchecked, yet it passes
+
+
+@pytest.mark.parametrize("kind", COST_KINDS)
+@pytest.mark.parametrize(
+    "a, b", [((1, 2, 3), (0,)), ((0,), (1, 2, 3)), ((), (1,)), ((0, 0), (0, 0, 0))]
+)
+def test_point_costs_refuse_points_of_different_dimensions(kind, a, b):
+    # zip once stopped at the shorter point: (1, 2, 3) against (0,) cost 1
+    dims = sorted({len(a), len(b)})
+    message = f"^points of different dimensions {re.escape(str(dims))}$"
+    for distance in (POINT_COSTS[kind], transport.squared_distance,
+                     transport.l1_distance):
+        with pytest.raises(DimensionMismatchError, match=message):
+            distance(a, b)
+    with pytest.raises(DimensionMismatchError, match=message):
+        cost_matrix([a], [b], kind)
 
 
 @pytest.mark.parametrize("kind", ["sq", "l1", "euclid"])
@@ -490,12 +507,18 @@ def test_certificate_rejects_corrupted_duals():
     ],
 )
 def test_solve_assignment_rejects_a_bad_dual(monkeypatch, duals, message):
-    c = CostMatrix("sq", [[0, 1], [0, 1]])
+    # under "euclid" the duals are in units of the 2^40 grid
+    matrices = [CostMatrix(kind, [[0, 1], [0, 1]]) for kind in ("sq", "euclid")]
+    results = [solve_assignment(c) for c in matrices]
+    assert all(map(check_certificate, matrices, results))
     monkeypatch.setattr(
         transport, "_shortest_augmenting_paths", lambda costs: ([0, 1], duals, [0, 0])
     )
-    with pytest.raises(RuntimeError, match=message):
-        solve_assignment(c)
+    for c, res in zip(matrices, results):
+        with pytest.raises(RuntimeError, match=message):
+            solve_assignment(c)
+        # the certificate check refuses the result the solve refused
+        assert not check_certificate(c, res._replace(duals=(tuple(duals), (0, 0))))
 
 
 @st.composite
@@ -528,19 +551,29 @@ def test_certified_core_total_is_the_optimum(values):
         (-1, "does not certify"),
     ],
 )
-@pytest.mark.parametrize("kind", ["sq", "l1"])
+@pytest.mark.parametrize("kind", COST_KINDS)
 def test_value_solve_rejects_a_tampered_v(monkeypatch, shift, message, kind):
     def tampered(costs):
         col_of, u, v = solve(costs)
         v[0] += shift
+        results.append((col_of, u, v))
         return col_of, u, v
 
     solve = transport._shortest_augmenting_paths
     monkeypatch.setattr(transport, "_shortest_augmenting_paths", tampered)
+    results = []
     with pytest.raises(RuntimeError, match=message):
         optimal_total(measure_of(P42), measure_of(P2211), kind)
+    c = pair_measures(PLANE, PLANE_SYM, kind)
     with pytest.raises(RuntimeError, match=message):
-        transport._certified_solve(pair_measures(PLANE, PLANE_SYM, kind))
+        transport._certified_solve(c)
+    # the certificate check refuses the same result, and takes it untampered
+    col_of, u, v = results[-1]
+    total = sum(row[j] for row, j in zip(c.values, col_of))
+    res = transport.AssignmentResult(tuple(col_of), total, (tuple(u), tuple(v)))
+    assert not check_certificate(c, res)
+    v[0] -= shift
+    assert check_certificate(c, res._replace(duals=(tuple(u), tuple(v))))
 
 
 def test_euclid_certificate_on_the_grid():
@@ -695,6 +728,80 @@ def test_optimal_total_refuses_tuples_of_unequal_length(monkeypatch, kind):
         optimal_total(two, one, kind)
 
 
+@st.composite
+def points_with_a_bad_one(draw):
+    """Source and target points of one dimension with shared and moved
+    ones, and up to two bad points: a bool, str or float coordinate (a
+    float is bad under the exact kinds only), or a point of another
+    dimension.  A bad point is shared (on both sides), moved (on one side),
+    or both; sometimes the target side has one point more."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 2)] * dim)
+    shared = draw(st.lists(point, max_size=3))
+    k = draw(st.integers(0, 3))
+    src = draw(st.lists(point, min_size=k, max_size=k))
+    dst = draw(st.lists(point, min_size=k, max_size=k))
+
+    def bad():
+        if draw(st.booleans()):  # another dimension, 0 included
+            other = draw(st.sampled_from([d for d in range(5) if d != dim]))
+            return draw(st.tuples(*[st.integers(0, 2)] * other))
+        cell = list(draw(point))
+        coordinate = st.sampled_from([True, False, "a", 1.0, 0.5])
+        cell[draw(st.integers(0, dim - 1))] = draw(coordinate)
+        return tuple(cell)
+
+    where = draw(st.sampled_from(["none", "shared", "moved", "both"]))
+    if where in ("shared", "both"):
+        shared.insert(draw(st.integers(0, len(shared))), bad())
+    if where in ("moved", "both"):
+        side, other = (src, dst) if draw(st.booleans()) else (dst, src)
+        side.insert(draw(st.integers(0, len(side))), bad())
+        other.insert(draw(st.integers(0, len(other))), draw(point))
+    if draw(st.integers(0, 9)) == 0:
+        dst.append(draw(point))
+    src = draw(st.permutations(shared + src))
+    dst = draw(st.permutations(shared + dst))
+    return tuple(src), tuple(dst)
+
+
+def _raised(call):
+    """The type of the exception `call()` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(points_with_a_bad_one(), st.sampled_from(COST_KINDS))
+def test_optimal_total_raises_what_cost_matrix_raises(points, kind):
+    # optimal_total once checked only the points left after shared ones
+    # cancelled, or none at all when src == dst
+    src, dst = points
+    expected = _raised(lambda: cost_matrix(src, dst, kind))
+    assert _raised(lambda: optimal_total(src, dst, kind)) is expected
+
+
+@pytest.mark.parametrize(
+    "src, dst, kind, error",
+    [
+        (((True, 0),), ((True, 0),), "sq", NonIntegerCostsError),
+        (((1, 0), (2, 0), (0, "a")), ((1, 0), (0, 2), (0, "a")), "l1",
+         NonIntegerCostsError),
+        (((0, 0, 0), (1, 0)), ((0, 0, 0), (0, 1)), "l1", DimensionMismatchError),
+    ],
+    ids=["shared-bool", "shared-str", "shared-3d-point"],
+)
+def test_optimal_total_checks_shared_points(src, dst, kind, error):
+    # these once returned 0, 4 and 2
+    with pytest.raises(error):
+        cost_matrix(src, dst, kind)
+    with pytest.raises(error):
+        optimal_total(src, dst, kind)
+
+
 @pytest.mark.parametrize("kind", ["l1", "sq"])
 def test_wasserstein_triangle_inequality(kind):
     # W is a metric under l1, exactly; under sq the metric is sqrt(W).
@@ -814,6 +921,13 @@ def test_distance_of_total_divides_by_n():
     assert distance_of_total(14, 6, "sq") == Fraction(7, 3)
     assert distance_of_total(0, 1, "l1") == 0
     assert distance_of_total(3.0, 2, "euclid") == 1.5
+
+
+def test_distance_of_total_refuses_an_unknown_kind():
+    # it once read any kind but "euclid" as exact: "bogus" gave Fraction(3, 2)
+    message = f"^unknown cost kind 'bogus'; expected one of {re.escape(str(COST_KINDS))}$"
+    with pytest.raises(ValueError, match=message):
+        distance_of_total(3, 2, "bogus")
 
 
 def test_plan_cost_zero_on_identity():
