@@ -754,6 +754,23 @@ def test_render_tikz(capsys, p42):
     assert "\\filldraw" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (["--format", "svg", "--sigma", "2 1"],
+         "3a8fd42e61c112e4e8015c4458faf8de0aa543000f54ae37866ed83a32081751"),
+        (["--format", "tikz"],
+         "50883ad280098a1c0495f0f76f295fd9bdd5512ded53c016722837a3419a11ed"),
+    ],
+    ids=["svg-sigma", "tikz"],
+)
+def test_render_output_bytes(capsys, p42, flags, digest):
+    # one scale, so one drawing per partition and format, byte for byte
+    assert cli.main(["render", p42, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_render_has_no_cell_size(capsys, tmp_path, p42):
     out = tmp_path / "diagram.svg"
     out.write_text("kept", encoding="utf-8")

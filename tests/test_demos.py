@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import partition_ot
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
@@ -24,7 +26,8 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # the package this suite imports: src/ here, or an installed wheel
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_ot.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,

@@ -31,6 +31,7 @@ from partition_ot import (
     symmetrize,
     to_json,
     validate_array,
+    verify_theorem_cor,
 )
 
 from partition_ot import partitions
@@ -426,6 +427,54 @@ def test_count_matches_the_enumeration_and_builds_no_partition(monkeypatch):
     assert [count_partitions(m, n) for m, n in sizes] == expected
     with pytest.raises(InstanceTooLargeError, match="enumeration guard"):
         count_partitions(1, 13)
+
+
+# Count oracles that share no code with enumeration: the coefficients of
+# q^1..q^12 in products of factors (1 - q^e)^(-p).
+SERIES_N = 12
+
+
+def _series(factors):
+    coeffs = [1] + [0] * SERIES_N
+    for e, p in factors:
+        for _ in range(abs(p)):
+            if p > 0:  # divide by (1 - q^e)
+                for n in range(e, SERIES_N + 1):
+                    coeffs[n] += coeffs[n - e]
+            else:  # multiply by (1 - q^e)
+                for n in range(SERIES_N, e - 1, -1):
+                    coeffs[n] -= coeffs[n - e]
+    return coeffs[1:]
+
+
+K = range(1, SERIES_N + 1)
+# MacMahon: plane partitions, prod (1 - q^k)^(-k)
+PLANE = _series((k, k) for k in K)
+# self-conjugate partitions, prod (1 + q^(2k - 1)), each factor
+# (1 - q^(4k - 2)) / (1 - q^(2k - 1))
+SELF_CONJUGATE = _series([(2 * k - 1, 1) for k in K] + [(4 * k - 2, -1) for k in K])
+# symmetric plane partitions, prod (1 - q^(2k - 1))^(-1) (1 - q^(2k))^(-floor(k/2))
+SYMMETRIC_PLANE = _series([(2 * k - 1, 1) for k in K] + [(2 * k, k // 2) for k in K])
+
+
+def _fixed_counts(m, sigma):
+    return [sum(is_self_symmetric(p, sigma) for p in enumerate_partitions(m, n)) for n in K]
+
+
+def test_plane_partition_counts_match_macmahon():
+    assert PLANE[:6] == PARTITION_COUNTS_2D
+    assert [count_partitions(2, n) for n in K] == PLANE
+
+
+def test_fixed_partition_counts_match_their_products():
+    assert _fixed_counts(1, SWAP) == SELF_CONJUGATE
+    for sigma in ("2 1 3", "1 3 2"):
+        assert _fixed_counts(2, Permutation.from_one_line(sigma)) == SYMMETRIC_PLANE
+
+
+def test_the_cor_sweep_counts_the_self_conjugate_partitions():
+    report = verify_theorem_cor(1, SERIES_N, [SWAP], "l1")
+    assert report.summary["self_symmetric_count"] == sum(SELF_CONJUGATE) == 17
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 Each case hashes the full JSON-lines report of one sweep.  A refactor of
 the sweep pipeline must leave every byte, and so every hash, unchanged.
-The last case is the report of the benchmark's smoke sweep.
+The last three cases are the reports of the benchmark's smoke sweep,
+of its `sweep_cor_solid` workload and of that workload's `sq` twin.
 
 Reports carry totals and verdicts, not matchings, so one more pin hashes
 the solver's lex-smallest optimal matching on every instance of a small
@@ -47,6 +48,10 @@ CASES = [
      "38d56ff7fdbccc63a108c8494ebcffe7422ef78aab8a4985d3096d6edbeb317d"),
     ("cor", 3, 4, "all", "l1",
      "3557b9c9cabf2a087f836a4dabfc258e23037483a85cba7e453cf7364a0cf665"),
+    ("cor", 3, 7, "all", "l1",
+     "d94fa106f2de7eeb59117b6a202b9ed2cf0adec63a6bd7d708a09f1cf71f7ddf"),
+    ("cor", 3, 7, "all", "sq",
+     "b8eb8eb968ee7f24633f0d19b8113b617ef5a2cadf863c2ce129cf7ecc7cbf83"),
 ]
 
 SWEEPS = {"main": verify_theorem_main, "cor": verify_theorem_cor}

@@ -1172,3 +1172,9 @@ def test_optimal_plan_supports_are_monotone():
                 pairs = [(src[i], dst[res.matching[i]]) for i in range(n)]
                 ok, witness = is_c_cyclically_monotone(pairs, "sq", 3)
                 assert ok, (a.entries, b.entries, witness)
+    # 40 pairs, searched for improving cycles of up to 4 pairs
+    p = validate_array([12, 9, 7, 5, 4, 2, 1], 1)
+    q = symmetrize(p, SWAP)
+    _, res = solve_transport(p, q)
+    pairs = _pairs(measure_of(p), measure_of(q), res.matching)
+    assert len(pairs) == 40 and is_c_cyclically_monotone(pairs, "sq", 4) == (True, None)

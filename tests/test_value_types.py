@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import partition_ot
 from partition_ot import (
     AssignmentResult,
     CostMatrix,
@@ -31,7 +32,6 @@ from partition_ot import (
     verify_theorem_cor,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 SWAP = Permutation.from_one_line("2 1")
 P42 = validate_array([4, 2], 1)
 
@@ -74,8 +74,9 @@ REPORT = verify_theorem_cor(1, 1, [IDENTITY])
 
 
 def fresh(code):
-    """stdout of `code` run in a fresh interpreter on this checkout's src/."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    """stdout of `code` run in a fresh interpreter on the package this suite
+    imports: src/ here, or an installed wheel's site-packages."""
+    env = {**os.environ, "PYTHONPATH": str(Path(partition_ot.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60, check=True,
