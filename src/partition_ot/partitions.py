@@ -40,19 +40,20 @@ FALLBACK_MAX_CELLS = 8  # m >= 3
 # n = 2 (320,800) took 0.59 s, m = 30, n = 5 (6,956,400) 8 s and m = 400,
 # n = 3 172 s, with Python 3.11 on a shared 2-CPU VM.
 MAX_ENUMERATION_WORK = 400_000
-# Enumeration refuses larger m: building and printing a partition
-# recurse once per dimension, and m = 500 already exceeded Python's default
-# recursion limit of 1000 frames.
+# Every function that takes an m from outside refuses a larger one
+# (`_check_dimension`): freezing, printing and nesting a partition
+# (`_freeze`, `_listify`, `_nest`) recurse once per dimension, and m = 500
+# already exceeded Python's default recursion limit of 1000 frames.
 MAX_DIMENSION = 400
-# A partition refuses a larger n, before any of its cells is built.  At
-# this n, symmetrizing took 5.6 s and 562 MiB and rendering with a
-# permutation 37 s, with Python 3.11 on a shared 2-CPU VM.
+# A partition refuses a larger n (`_check_cell_cap`), before any of its
+# cells is built.  At this n, symmetrizing took 5.6 s and 562 MiB and
+# rendering with a permutation 37 s, with Python 3.11 on a shared 2-CPU VM.
 _CELL_CAP = 1_600_000
 
 
 def default_max_cells(m):
     """The largest n that enumeration admits at dimension m by default."""
-    _check_int("dimension m", m, 1)
+    _check_dimension(m)
     n = DEFAULT_MAX_CELLS.get(m, FALLBACK_MAX_CELLS)
     while n > 1 and math.comb(m + n - 1, n - 1) * m * n > MAX_ENUMERATION_WORK:
         n -= 1
@@ -104,10 +105,10 @@ class MultiPartition(_Frozen):
     weakly decrease along every axis.  The constructor checks all of this,
     and that n is the sum of the parts, to which n defaults.  It raises
     ValueError for a bad m or n, and NonPositiveEntryError, NotDownSetError
-    or NotMonotoneError for bad entries, and InstanceTooLargeError for n
-    above `_CELL_CAP`.  `cells` is the diagram as a sorted tuple of cells,
-    built on first read or handed over by the library's builders; repr, ==
-    and hash ignore it.
+    or NotMonotoneError for bad entries, and InstanceTooLargeError for m
+    above `MAX_DIMENSION` or n above `_CELL_CAP`.  `cells` is the diagram
+    as a sorted tuple of cells, built on first read or handed over by the
+    library's builders; repr, == and hash ignore it.
     """
 
     _fields = ("m", "entries", "n")
@@ -131,8 +132,7 @@ class MultiPartition(_Frozen):
             n = total
         elif not _is_int(n) or n != total:
             raise ValueError(f"n={n!r} is not the sum {total} of the parts")
-        if n > _CELL_CAP:
-            raise InstanceTooLargeError(f"n={n} exceeds the cell guard {_CELL_CAP}")
+        _check_cell_cap(n)
         self.__dict__.update(m=m, entries=entries, n=n)
 
     @cached_property
@@ -146,9 +146,9 @@ class MultiPartition(_Frozen):
 class Permutation(_Frozen):
     """Element of the symmetric group on {1, ..., size}, one-line notation.
 
-    `images[k]` is the image of k + 1.  `apply_to_cell(cell)` permutes the
-    coordinates of a cell tuple: the value at coordinate k - 1 (axis k)
-    moves to coordinate images[k - 1] - 1.
+    size is at least 1.  `images[k]` is the image of k + 1.
+    `apply_to_cell(cell)` permutes the coordinates of a cell tuple: the
+    value at coordinate k - 1 (axis k) moves to coordinate images[k - 1] - 1.
     """
 
     _fields = ("images",)
@@ -156,6 +156,8 @@ class Permutation(_Frozen):
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
+        if not n:
+            raise ValueError("a permutation needs at least one image")
         if not all(map(_is_int, images)) or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images!r}")
         self.__dict__.update(images=images, apply_to_cell=_cell_action(images))
@@ -175,8 +177,6 @@ class Permutation(_Frozen):
             images = tuple(int(tok) for tok in text.replace(",", " ").split())
         except ValueError:
             raise ValueError(f"cannot parse permutation {text!r}") from None
-        if not images:
-            raise ValueError("empty permutation string")
         return cls(images)
 
     def one_line(self):
@@ -216,8 +216,10 @@ def validate_array(raw, m):
 
     The sequences become tuples and `MultiPartition` checks the result: it
     raises NonPositiveEntryError, NotDownSetError, or NotMonotoneError when
-    the array is not a valid m-dimensional partition.
+    the array is not a valid m-dimensional partition.  m is checked first,
+    as freezing recurses once per dimension.
     """
+    _check_dimension(m)
     return MultiPartition(m, _freeze(raw, m))
 
 
@@ -236,10 +238,6 @@ def from_json(doc):
     return validate_array(doc["entries"], doc["m"])
 
 
-def _has_length(obj):
-    return hasattr(obj, "__len__") and not isinstance(obj, (str, bytes))
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -252,12 +250,22 @@ def _check_int(name, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _freeze(node, depth):
-    """`node` with its sequences down to `depth` levels turned into tuples.
+def _check_dimension(m):
+    """Refuse an m that is no int, is a bool, or lies outside 1..MAX_DIMENSION."""
+    _check_int("dimension m", m, 1)
+    if m > MAX_DIMENSION:
+        raise InstanceTooLargeError(f"m={m} exceeds the dimension guard {MAX_DIMENSION}")
 
-    A depth that is no integer freezes nothing: the constructor rejects it.
-    """
-    if not _is_int(depth) or depth < 1 or not _has_length(node):
+
+def _check_cell_cap(n):
+    """Refuse a partition of more than `_CELL_CAP` cells."""
+    if n > _CELL_CAP:
+        raise InstanceTooLargeError(f"n={n} exceeds the cell guard {_CELL_CAP}")
+
+
+def _freeze(node, depth):
+    """`node` with its sequences down to `depth` levels turned into tuples."""
+    if depth < 1 or not hasattr(node, "__len__") or isinstance(node, (str, bytes)):
         return node
     return tuple(_freeze(child, depth - 1) for child in node)
 
@@ -265,11 +273,11 @@ def _freeze(node, depth):
 def _checked_leaves(m, entries):
     """(index tuple, part) pairs of `entries`, 1-based, in index order.
 
-    Raises where the shape or a part is bad: m must be an integer >= 1,
-    every node above the parts a non-empty tuple, and every part an
-    integer >= 1.
+    Raises where the shape or a part is bad: m must pass
+    `_check_dimension`, every node above the parts be a non-empty tuple,
+    and every part an integer >= 1.
     """
-    _check_int("dimension m", m, 1)
+    _check_dimension(m)
     if not isinstance(entries, tuple):
         raise NonPositiveEntryError(
             f"partition entries must be a nested tuple, got {type(entries).__name__}"
@@ -351,8 +359,9 @@ def _levels(m, entries):
 def from_cells(cells):
     """The partition whose diagram is `cells`, an iterable of cell tuples.
 
-    m is one less than the length of a cell.  The cells are checked to form
-    a down-set: this is where cells from outside enter.  Inverse of
+    m is one less than the length of a cell.  m and the number of cells
+    pass the partition's guards, and then the cells are checked to form a
+    down-set: this is where cells from outside enter.  Inverse of
     `measures.measure_of`: both round trips are identities.
     """
     cells = frozenset(cells)
@@ -366,6 +375,8 @@ def _check_cells(cells):
     dim = len(next(iter(cells)))
     if dim < 2:
         raise NotDownSetError(f"cells need at least 2 coordinates, got {dim}")
+    _check_dimension(dim - 1)
+    _check_cell_cap(len(cells))
     for cell in cells:
         if len(cell) != dim or any(not _is_int(x) or x < 0 for x in cell):
             raise NotDownSetError(
@@ -463,14 +474,10 @@ def count_partitions(m, n, max_cells=None):
 
 
 def _check_guard(m, n, max_cells):
-    _check_int("dimension m", m, 1)
+    _check_dimension(m)
     _check_int("total n", n, 1)
     if max_cells is not None:
         _check_int("max_cells", max_cells)
-    if m > MAX_DIMENSION:
-        raise InstanceTooLargeError(
-            f"m={m} exceeds the dimension guard {MAX_DIMENSION}"
-        )
     limit = default_max_cells(m) if max_cells is None else max_cells
     if n > limit:
         raise EnumerationTooLargeError(

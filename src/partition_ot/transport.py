@@ -113,14 +113,14 @@ class CostMatrix(_Frozen):
         if kind != EUCLIDEAN:
             for v in entries:
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"cost entry {v!r} is not an integer")
+                    raise ValueError(f"cost entry {_entry_name(v)} is not an integer")
         else:
             for v in entries:  # a nan fails the range comparison too
                 if (isinstance(v, bool) or not isinstance(v, (int, float))
                         or not -_EUCLID_MAX <= v <= _EUCLID_MAX):
                     raise ValueError(
-                        f"cost entry {v!r} is not an int or a float with a "
-                        f"finite 2^40-grid value"
+                        f"cost entry {_entry_name(v)} is not an int or a float "
+                        f"with a finite 2^40-grid value"
                     )
         if len(set(map(len, values))) > 1:
             raise ShapeMismatchError("ragged cost matrix")
@@ -137,6 +137,21 @@ class CostMatrix(_Frozen):
     @property
     def is_exact(self):
         return self.kind != EUCLIDEAN
+
+
+def _entry_name(v):
+    """A refused cost entry as its message names it: one short line.
+
+    Its repr when that is one line of at most 40 characters, else its type
+    and size.  A long int's repr is never built: it takes quadratic time,
+    and past 4300 digits the interpreter refuses to build it.
+    """
+    if isinstance(v, int) and not -10**39 < v < 10**40:
+        return f"<{type(v).__name__} of {v.bit_length()} bits>"
+    text = repr(v)
+    if len(text) <= 40 and text.isprintable():
+        return text
+    return f"<{type(v).__name__} with a repr of {len(text)} characters>"
 
 
 _add_terms = partial(map, add)  # element-wise sum of two term lists
@@ -685,7 +700,9 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
     a time until a closed one gains less than -slack (a small one for
     "euclid" floats): a simple cycle at that least length, as a shorter
     closed walk would have gained < 0 first.  At `max_cycle` steps only the
-    k closed walks are taken, a k^2 step.  `max_cycle` must be an int.
+    k closed walks are taken, a k^2 step.  `max_cycle` must be an int, and
+    after the size guards the pairs' points pass the point rule
+    (`_check_points`) however short the cycles.
     """
     _check_int("max_cycle", max_cycle)
     pair_list = sorted(set(pairs))
@@ -698,7 +715,7 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
             f"{k} pairs at max_cycle={max_cycle} exceed the guards of "
             f"{ASSIGNMENT_MAX_N} pairs and {_MONOTONE_MAX_WORK} steps"
         )
-    _check_kind(kind)
+    _check_points([s for s, _ in pair_list], [t for _, t in pair_list], kind)
     if longest < 2:
         return True, None
     c = cost_matrix(*zip(*pair_list), kind).values  # sources x targets

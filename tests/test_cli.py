@@ -236,20 +236,39 @@ def test_symmetrize_rejects_non_integer_dimension(capsys, tmp_path, m):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "[" * 3000 + "]" * 3000,
-        '{"m": 900, "entries": ' + "[" * 900 + "1" + "]" * 900 + "}",
+        # json.loads recurses past the limit from 10,000 brackets on
+        # Python 3.10 to 3.13; 3.13 parses 3,000
+        ("[" * 100_000 + "]" * 100_000, "{path}: partition JSON is nested too deeply"),
+        # a valid document whose m meets the dimension guard before any
+        # part of it is frozen, printed or nested
+        ('{"m": 900, "entries": ' + "[" * 900 + "1" + "]" * 900 + "}",
+         "m=900 exceeds the dimension guard 400"),
     ],
     ids=["deep-array", "valid-m900"],
 )
-def test_deeply_nested_json_exits_2(capsys, tmp_path, text):
+def test_deeply_nested_json_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "deep.json"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["wasserstein", str(path), str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: partition JSON is nested too deeply\n"
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+def test_symmetrize_refuses_a_partition_above_the_dimension_guard(capsys, tmp_path):
+    # refused as the file is read, before freezing, symmetrizing or
+    # printing the partition recurses once per dimension
+    entries = 1
+    for _ in range(450):
+        entries = [entries]
+    path = write_partition(tmp_path, "m450.json", {"m": 450, "entries": entries})
+    sigma = " ".join(map(str, range(451, 0, -1)))
+    assert cli.main(["symmetrize", path, "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m=450 exceeds the dimension guard 400\n"
 
 
 @pytest.mark.parametrize(

@@ -513,6 +513,59 @@ def test_dimension_guard():
     assert count_partitions(MAX_DIMENSION, 2) == MAX_DIMENSION + 1
 
 
+def _nested(depth):
+    entries = 1
+    for _ in range(depth):
+        entries = [entries]
+    return entries
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        default_max_cells,
+        lambda m: validate_array(_nested(m), m),
+        lambda m: MultiPartition(m, (1,)),
+        lambda m: from_json({"m": m, "entries": _nested(m)}),
+        lambda m: from_cells([(0,) * (m + 1)]),
+        lambda m: enumerate_partitions(m, 1),
+        lambda m: count_partitions(m, 1),
+    ],
+    ids=["default_max_cells", "validate_array", "MultiPartition", "from_json",
+         "from_cells", "enumerate_partitions", "count_partitions"],
+)
+@pytest.mark.parametrize("m", [MAX_DIMENSION + 1, 500, 1100])
+def test_every_input_runs_the_dimension_guard(build, m):
+    # freezing, printing and nesting recurse once per dimension: from
+    # m = 500 each of them once raised a raw RecursionError
+    with pytest.raises(InstanceTooLargeError) as refused:
+        build(m)
+    assert str(refused.value) == f"m={m} exceeds the dimension guard {MAX_DIMENSION}"
+
+
+def test_a_partition_at_the_dimension_guard_builds_prints_and_symmetrizes():
+    m = MAX_DIMENSION
+    p = from_cells([(0,) * (m + 1)])
+    assert p == validate_array(_nested(m), m)
+    assert str(p) == repr(_nested(m)) and to_json(p)["entries"] == _nested(m)
+    assert symmetrize(p, Permutation.identity(m + 1)) == p
+
+
+def test_from_cells_runs_the_cell_guard_before_the_down_set_check():
+    cap = partitions._CELL_CAP
+    cells = [(h, 0) for h in range(cap + 1)]
+    with pytest.raises(InstanceTooLargeError) as refused:
+        from_cells(cells)
+    assert str(refused.value) == f"n={cap + 1} exceeds the cell guard {cap}"
+    cells[-1] = (0, -1)  # no down-set, and still one cell over the guard
+    with pytest.raises(InstanceTooLargeError, match="exceeds the cell guard"):
+        from_cells(cells)
+
+
+def test_str_prints_the_nested_parts():
+    assert str(validate_array([[2, 1], [1]], 2)) == "[[2, 1], [1]]"
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -524,6 +577,27 @@ def test_permutation_validation():
         Permutation.from_one_line("2 3")
     with pytest.raises(ValueError):
         Permutation.from_one_line("not a perm")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation(()),
+        lambda: Permutation([]),
+        lambda: Permutation.identity(0),
+        lambda: Permutation.identity(-1),
+        lambda: all_permutations(0),
+        lambda: involutions(0),
+        lambda: Permutation.from_one_line(""),
+        lambda: Permutation.from_one_line(" , "),
+    ],
+    ids=["empty-tuple", "empty-list", "identity-0", "identity-negative",
+         "all-0", "involutions-0", "one-line-empty", "one-line-separators"],
+)
+def test_a_permutation_needs_at_least_one_image(build):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == "a permutation needs at least one image"
 
 
 @pytest.mark.parametrize("images", [[2.0, 1], [True, 2], [1, False], [1.0]])

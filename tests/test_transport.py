@@ -266,11 +266,49 @@ def test_exact_costs_refuse_non_int_coordinates(kind):
 )
 def test_euclid_cost_matrix_refuses_what_its_grid_cannot_hold(bad):
     # a str entry would make the solve's grid value "a" * 2**40, a 1 TiB
-    # string, so these are refused where the matrix is built, never solved
-    with pytest.raises(ValueError, match=f"cost entry {re.escape(repr(bad))} is not"):
+    # string, so these are refused where the matrix is built, never solved;
+    # an entry whose repr is longer than 40 characters is named by its size
+    name = "<int of 1329 bits>" if bad == 10**400 else repr(bad)
+    with pytest.raises(ValueError, match=f"cost entry {re.escape(name)} is not"):
         CostMatrix("euclid", [[bad]])
     with pytest.raises(ValueError, match="is not an int or a float"):
         CostMatrix("euclid", [[0.0, 1.5], [1, bad]])
+
+
+class _MultiLineRepr:
+    def __repr__(self):
+        return "two\nlines"
+
+
+@pytest.mark.parametrize(
+    "kind, entry, name",
+    [
+        ("euclid", 10**400, "<int of 1329 bits>"),
+        # past 4300 digits the interpreter refuses the int's repr
+        ("euclid", 10**5000, "<int of 16610 bits>"),
+        ("sq", "a" * 10**5, "<str with a repr of 100002 characters>"),
+        ("sq", "a" * 39, "<str with a repr of 41 characters>"),
+        ("sq", "a" * 38, repr("a" * 38)),
+        ("sq", _MultiLineRepr(), "<_MultiLineRepr with a repr of 9 characters>"),
+        ("sq", 0.5, "0.5"),
+    ],
+    ids=["int-401-digits", "int-5001-digits", "str-100000", "str-39", "str-38",
+         "multi-line-repr", "float"],
+)
+def test_a_refused_entry_is_named_in_one_short_line(kind, entry, name):
+    with pytest.raises(ValueError) as refused:
+        CostMatrix(kind, [[entry]])
+    message = str(refused.value)
+    assert message.startswith(f"cost entry {name} is not ")
+    assert len(message) <= 120 and "\n" not in message
+
+
+def test_an_int_entry_is_named_by_its_repr_up_to_40_characters():
+    # the first ints on each side whose repr is 41 characters long
+    for v in (10**40 - 1, -(10**39) + 1):
+        assert transport._entry_name(v) == repr(v) and len(repr(v)) == 40
+    assert transport._entry_name(10**40) == "<int of 133 bits>"
+    assert transport._entry_name(-(10**39)) == "<int of 130 bits>"
 
 
 def test_euclid_cost_matrix_takes_ints_and_finite_floats():
@@ -574,6 +612,13 @@ def test_value_solve_rejects_a_tampered_v(monkeypatch, shift, message, kind):
     assert not check_certificate(c, res)
     v[0] -= shift
     assert check_certificate(c, res._replace(duals=(tuple(u), tuple(v))))
+
+
+def test_solve_refuses_a_lex_matching_off_the_certified_total(monkeypatch):
+    # a perfect matching that is not on the dual's tight edges
+    monkeypatch.setattr(transport, "_lex_smallest_tight_matching", lambda *args: (1, 0))
+    with pytest.raises(RuntimeError, match="assignment dual does not certify the matching"):
+        solve_assignment(CostMatrix("sq", [[0, 1], [1, 0]]))
 
 
 def test_euclid_certificate_on_the_grid():
@@ -1067,6 +1112,29 @@ def test_monotone_exact_kinds_need_integer_coordinates(kind):
         is_c_cyclically_monotone({((0.5, 0), (0, 1)), ((0, 1), (0, 0))}, kind, 2)
     with pytest.raises(NonIntegerCostsError):
         is_c_cyclically_monotone({((True, 0), (0, 1)), ((0, 1), (0, 0))}, kind, 2)
+
+
+@pytest.mark.parametrize("kind", COST_KINDS)
+@pytest.mark.parametrize(
+    "pairs, max_cycle",
+    [
+        ({((True, 0), (0, 1))}, 2),  # one pair: no cycle to search
+        ({((True, 0), (0, 1)), ((0, 1), (0, 0))}, 1),  # under two steps
+        ({((0, 0), (0, 1, 2))}, 3),  # points of two dimensions
+    ],
+    ids=["one-pair", "max-cycle-1", "dimensions"],
+)
+def test_monotone_runs_the_point_rule_however_short_the_cycles(pairs, max_cycle, kind):
+    # the rule cost_matrix runs, also where no cost is built
+    expected = (
+        DimensionMismatchError if len({len(x) for pair in pairs for x in pair}) > 1
+        else NonIntegerCostsError if kind != "euclid" else ValueError
+    )
+    with pytest.raises(expected) as refused:
+        is_c_cyclically_monotone(pairs, kind, max_cycle)
+    with pytest.raises(expected) as built:
+        cost_matrix(*zip(*sorted(pairs)), kind)
+    assert (type(refused.value), str(refused.value)) == (type(built.value), str(built.value))
 
 
 def _assert_matches_reference(pairs, kind, max_cycle):
