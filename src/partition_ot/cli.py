@@ -169,10 +169,8 @@ def cmd_enumerate(args):
 def cmd_symmetrize(args):
     p = _read_partition(args.input)
     sigma = Permutation.from_one_line(args.sigma)
-    if args.check_self:
-        _emit(json.dumps(is_self_symmetric(p, sigma)) + "\n", args.out)
-    else:
-        _emit(_compact(to_json(symmetrize(p, sigma))) + "\n", args.out)
+    doc = is_self_symmetric(p, sigma) if args.check_self else to_json(symmetrize(p, sigma))
+    _emit(_compact(doc) + "\n", args.out)
     return EXIT_OK
 
 
@@ -238,21 +236,16 @@ def cmd_render(args):
 
 def _sigma_set(names, size):
     sigmas = []
-    seen = set()
     for name in names:
         if name == "all":
-            batch = all_permutations(size)
+            sigmas += all_permutations(size)
         elif name == "involutions":
-            batch = involutions(size)
+            sigmas += involutions(size)
         elif name == "identity":
-            batch = [Permutation.identity(size)]
+            sigmas.append(Permutation.identity(size))
         else:
-            batch = [Permutation.from_one_line(name)]
-        for sigma in batch:
-            if sigma.images not in seen:
-                seen.add(sigma.images)
-                sigmas.append(sigma)
-    return sigmas
+            sigmas.append(Permutation.from_one_line(name))
+    return list(dict.fromkeys(sigmas))  # each sigma once, where first named
 
 
 def _read_partition(path):

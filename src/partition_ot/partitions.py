@@ -13,9 +13,13 @@ cells back into a partition.
 
 Coordinate permutations act on cells through `apply_permutation` and on
 partitions through `symmetrize`; a partition fixed by a permutation is
-detected by `is_self_symmetric`.  `MultiPartition`, `Permutation` and
+detected by `is_self_symmetric`.  Enumeration builds an m-dimensional
+partition as a stack of (m-1)-dimensional layers, down to a part, the
+0-dimensional partition.  `MultiPartition`, `Permutation` and
 `transport.CostMatrix` are immutable values on one plain base, `_Frozen`;
-the package's records are named tuples.
+the package's records are named tuples.  Every refusal in the package
+names the values it shows through `_entry_name`, so it is one short line
+however large the value.
 """
 
 import itertools
@@ -106,7 +110,8 @@ class MultiPartition(_Frozen):
     and that n is the sum of the parts, to which n defaults.  It raises
     ValueError for a bad m or n, and NonPositiveEntryError, NotDownSetError
     or NotMonotoneError for bad entries, and InstanceTooLargeError for m
-    above `MAX_DIMENSION` or n above `_CELL_CAP`.  `cells` is the diagram
+    above `MAX_DIMENSION` or parts summing past `_CELL_CAP`, before n is
+    compared with their sum.  `cells` is the diagram
     as a sorted tuple of cells, built on first read or handed over by the
     library's builders; repr, == and hash ignore it.
     """
@@ -121,19 +126,18 @@ class MultiPartition(_Frozen):
                     below = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
                     if below not in parts:
                         raise NotDownSetError(
-                            f"index {idx} present but {below} missing"
+                            f"index {_entry_name(idx)} present but {_entry_name(below)} missing"
                         )
                     if part > parts[below]:
                         raise NotMonotoneError(
-                            f"part {part} at {idx} exceeds part {parts[below]} at {below}"
+                            f"part {_entry_name(part)} at {_entry_name(idx)} exceeds "
+                            f"part {_entry_name(parts[below])} at {_entry_name(below)}"
                         )
         total = sum(parts.values())
-        if n is None:
-            n = total
-        elif not _is_int(n) or n != total:
-            raise ValueError(f"n={n!r} is not the sum {total} of the parts")
-        _check_cell_cap(n)
-        self.__dict__.update(m=m, entries=entries, n=n)
+        _check_cell_cap(total)
+        if n is not None and (not _is_int(n) or n != total):
+            raise ValueError(f"n={_entry_name(n)} is not the sum {total} of the parts")
+        self.__dict__.update(m=m, entries=entries, n=total)
 
     @cached_property
     def cells(self):
@@ -159,7 +163,7 @@ class Permutation(_Frozen):
         if not n:
             raise ValueError("a permutation needs at least one image")
         if not all(map(_is_int, images)) or sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images!r}")
+            raise ValueError(f"not a permutation of 1..{n}: {_entry_name(images)}")
         self.__dict__.update(images=images, apply_to_cell=_cell_action(images))
 
     @property
@@ -176,7 +180,7 @@ class Permutation(_Frozen):
         try:
             images = tuple(int(tok) for tok in text.replace(",", " ").split())
         except ValueError:
-            raise ValueError(f"cannot parse permutation {text!r}") from None
+            raise ValueError(f"cannot parse permutation {_entry_name(text)}") from None
         return cls(images)
 
     def one_line(self):
@@ -245,22 +249,56 @@ def _is_int(x):
 def _check_int(name, value, least=None):
     """Refuse a `value` that is no int, is a bool or is below `least`."""
     if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_entry_name(value)}")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+        raise ValueError(f"{name} must be >= {least}, got {_entry_name(value)}")
+
+
+def _entry_name(v, room=40):
+    """A value from outside as a refusal names it: one short line.
+
+    Every message that shows such a value names it here: by its repr when
+    that is one printable line of at most 40 characters, else by its type
+    and size.  A long int's repr is never built: it takes quadratic time,
+    and past 4300 digits the interpreter refuses to build it.  A tuple or
+    list is written with its items' names, each in the `room` that the
+    items before it leave, and named by its type and length where that
+    room runs out; so no item's repr is built whole, however deep.
+    """
+    if isinstance(v, int) and not -10**39 < v < 10**40:
+        return f"<{type(v).__name__} of {v.bit_length()} bits>"
+    if type(v) in (tuple, list):
+        comma = len(v) == 1 and type(v) is tuple  # written (x,)
+        left, names = room - 2 * len(v) - comma, []  # past brackets and separators
+        while left > 0 and len(names) < len(v):
+            names.append(_entry_name(v[len(names)], left))
+            left -= len(names[-1])
+        if left >= 0 and len(names) == len(v):
+            text = ", ".join(names) + "," * comma
+            return f"[{text}]" if type(v) is list else f"({text})"
+        return f"<{type(v).__name__} of length {len(v)}>"
+    text = repr(v)
+    if len(text) <= 40 and text.isprintable():
+        return text
+    return f"<{type(v).__name__} with a repr of {len(text)} characters>"
 
 
 def _check_dimension(m):
     """Refuse an m that is no int, is a bool, or lies outside 1..MAX_DIMENSION."""
     _check_int("dimension m", m, 1)
     if m > MAX_DIMENSION:
-        raise InstanceTooLargeError(f"m={m} exceeds the dimension guard {MAX_DIMENSION}")
+        raise InstanceTooLargeError(_exceeds("m", m, "dimension", MAX_DIMENSION))
 
 
 def _check_cell_cap(n):
     """Refuse a partition of more than `_CELL_CAP` cells."""
     if n > _CELL_CAP:
-        raise InstanceTooLargeError(f"n={n} exceeds the cell guard {_CELL_CAP}")
+        raise InstanceTooLargeError(_exceeds("n", n, "cell", _CELL_CAP))
+
+
+def _exceeds(name, value, guard, limit):
+    """A size guard's refusal: "name=value exceeds the <guard> guard <limit>"."""
+    return f"{name}={_entry_name(value)} exceeds the {guard} guard {_entry_name(limit)}"
 
 
 def _freeze(node, depth):
@@ -290,17 +328,18 @@ def _checked_leaves(m, entries):
         for where, node in level:
             if not isinstance(node, tuple):
                 raise NonPositiveEntryError(
-                    f"expected a sequence at {where}, got {node!r}"
+                    f"expected a sequence at {_entry_name(where)}, got {_entry_name(node)}"
                 )
             if not node:
-                raise NotDownSetError(f"empty sub-array at index {where}")
+                raise NotDownSetError(f"empty sub-array at index {_entry_name(where)}")
             below.extend((where + (i,), child) for i, child in enumerate(node, 1))
         level = below
     for where, part in level:
-        if not _is_int(part):
-            raise NonPositiveEntryError(f"part at {where} is not an integer: {part!r}")
-        if part < 1:
-            raise NonPositiveEntryError(f"part at {where} must be >= 1, got {part}")
+        if not _is_int(part) or part < 1:
+            rule = "must be >= 1, got" if _is_int(part) else "is not an integer:"
+            raise NonPositiveEntryError(
+                f"part at {_entry_name(where)} {rule} {_entry_name(part)}"
+            )
     return level
 
 
@@ -380,13 +419,15 @@ def _check_cells(cells):
     for cell in cells:
         if len(cell) != dim or any(not _is_int(x) or x < 0 for x in cell):
             raise NotDownSetError(
-                f"cell {cell!r} is not a {dim}-tuple of non-negative integers"
+                f"cell {_entry_name(cell)} is not a {dim}-tuple of non-negative integers"
             )
         for k in range(dim):
             if cell[k] > 0:
                 below = cell[:k] + (cell[k] - 1,) + cell[k + 1 :]
                 if below not in cells:
-                    raise NotDownSetError(f"cell {cell} present but {below} missing")
+                    raise NotDownSetError(
+                        f"cell {_entry_name(cell)} present but {_entry_name(below)} missing"
+                    )
 
 
 def _from_diagram(cells):
@@ -417,10 +458,12 @@ def _nest(leaves, depth):
 def apply_permutation(cells, sigma):
     """The sorted image of a diagram's cells under a coordinate permutation.
 
-    `cells` is a non-empty sequence of the cells, such as `p.cells`.
-    Permuting coordinates maps a down-set to a down-set, so the image is
-    not checked.
+    `cells` is a non-empty sequence of the cells, such as `p.cells`; no
+    cells raise NotDownSetError, as `from_cells` does.  Permuting
+    coordinates maps a down-set to a down-set, so the image is not checked.
     """
+    if not cells:
+        raise NotDownSetError("a diagram needs at least one cell")
     _check_acts_on(sigma, len(cells[0]))
     return tuple(sorted(map(sigma.apply_to_cell, cells)))
 
@@ -476,13 +519,12 @@ def count_partitions(m, n, max_cells=None):
 def _check_guard(m, n, max_cells):
     _check_dimension(m)
     _check_int("total n", n, 1)
-    if max_cells is not None:
-        _check_int("max_cells", max_cells)
     limit = default_max_cells(m) if max_cells is None else max_cells
+    _check_int("max_cells", limit)
     if n > limit:
         raise EnumerationTooLargeError(
-            f"n={n} exceeds the enumeration guard {limit} for m={m}; "
-            f"raise the max-cells limit to override"
+            _exceeds("n", n, "enumeration", limit)
+            + f" for m={m}; raise the max-cells limit to override"
         )
 
 
@@ -491,24 +533,19 @@ def _entry_trees(m, n):
     """Entry tuples of every m-dimensional partition of n.
 
     Dimension m partitions are built as stacks of dimension m-1 layers,
-    each layer dominated entrywise by the one before it.
+    each layer dominated entrywise by the one before it, down to m = 0,
+    where the one partition of n is the part n itself.  So one recursion
+    builds every m, and m = 1 stacks parts.  The first layer is chosen
+    here, not by `_extended`, which keeps one frame fewer per dimension:
+    `enumerate --m 400 --n 1` stays within the default recursion limit.
     """
-    if m == 1:
-        return tuple(_decreasing_rows(n, n))
+    if m == 0:
+        return (n,)
     out = []
     for first_size in range(n, 0, -1):
         for first in _entry_trees(m - 1, first_size):
             out.extend(_extended(m - 1, first, first_size, n - first_size, (first,)))
     return tuple(out)
-
-
-def _decreasing_rows(n, max_part):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _decreasing_rows(n - first, first):
-            yield (first,) + rest
 
 
 def _extended(sub_m, prev, prev_size, remaining, acc):

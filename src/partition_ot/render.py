@@ -5,12 +5,14 @@ permutation highlights the support split: shared cells in purple, moved
 cells in orange, and (for m=1) arrows of the candidate map sending each
 moved cell to its sigma-image, which need not be an optimal map.
 One entry point, `render(p, fmt, sigma)`, draws every format at one
-scale.  Identical inputs always produce identical bytes.
+scale; both SVG drawers end in one document frame (`_svg_document`).
+Identical inputs always produce identical bytes.
 """
 
 import math
 
 from .measures import decompose, measure_of
+from .partitions import _entry_name
 
 ASCII = "ascii"
 SVG = "svg"
@@ -45,7 +47,7 @@ def render(p, fmt=ASCII, sigma=None):
     Raises UnsupportedRenderError for a format or dimension not drawn.
     """
     if fmt not in FORMATS:
-        raise UnsupportedRenderError(f"unknown format {fmt!r}")
+        raise UnsupportedRenderError(f"unknown format {_entry_name(fmt)}")
     drawers = _DRAW[fmt]
     if p.m not in drawers:
         dims = ", ".join(map(str, drawers))
@@ -109,28 +111,39 @@ def _square_geometry(p, s, sigma):
 def _svg_squares(p, sigma):
     s = _SVG_CELL
     boxes, segments, width, height = _square_geometry(p, s, sigma)
-    pad = s * 0.25
-    out = [
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(-pad)} {_fmt(-pad)} {_fmt(width + 2 * pad)} {_fmt(height + 2 * pad)}">'
-    ]
+    body = []
     if segments:
-        out.append(
+        body.append(
             "<defs><marker id='tip' markerWidth='6' markerHeight='6' refX='5' refY='3' "
             "orient='auto'><path d='M0,0 L6,3 L0,6 z' fill='#333333'/></marker></defs>"
         )
     for _, color, x, y in boxes:
-        out.append(
+        body.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(s)}" '
             f'height="{_fmt(s)}" fill="{color}" stroke="#333333"/>'
         )
     for x1, y1, x2, y2 in segments:
-        out.append(
+        body.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             'stroke="#333333" stroke-dasharray="3 2" marker-end="url(#tip)"/>'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg_document((0, 0, width, height), body)
+
+
+def _svg_document(box, body):
+    """The SVG document of the `body` lines, framed by the drawing's `box`.
+
+    `box` is (left, top, right, bottom); the viewBox pads it by a quarter
+    cell on every side.  Both SVG drawers end here.
+    """
+    left, top, right, bottom = box
+    pad = _SVG_CELL * 0.25
+    head = (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_fmt(left - pad)} {_fmt(top - pad)} '
+        f'{_fmt(right - left + 2 * pad)} {_fmt(bottom - top + 2 * pad)}">'
+    )
+    return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
 def _tikz_squares(p, sigma):
@@ -192,23 +205,14 @@ def _painted_cubes(p, s, sigma):
 
 
 def _svg_cubes(p, sigma):
-    s = _SVG_CELL
-    cubes = _painted_cubes(p, s, sigma)
-    points = [pt for _, faces in cubes for poly, _ in faces for pt in poly]
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    pad = s * 0.25
-    out = [
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(min(xs) - pad)} {_fmt(min(ys) - pad)} '
-        f'{_fmt(max(xs) - min(xs) + 2 * pad)} {_fmt(max(ys) - min(ys) + 2 * pad)}">'
-    ]
+    cubes = _painted_cubes(p, _SVG_CELL, sigma)
+    xs, ys = zip(*[pt for _, faces in cubes for poly, _ in faces for pt in poly])
+    body = []
     for _, faces in cubes:
         for poly, fill in faces:
             pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in poly)
-            out.append(f'<polygon points="{pts}" fill="{fill}" stroke="#333333"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+            body.append(f'<polygon points="{pts}" fill="{fill}" stroke="#333333"/>')
+    return _svg_document((min(xs), min(ys), max(xs), max(ys)), body)
 
 
 def _tikz_cubes(p, sigma):

@@ -40,6 +40,7 @@ from .partitions import (
     _check_acts_on,
     _check_guard,
     _check_int,
+    _exceeds,
     apply_permutation,
     enumerate_partitions,
 )
@@ -204,8 +205,8 @@ def _check_sweep(theorem, m, n_max, sigmas, kind, max_cells):
     _check_int("n_max", n_max, 1)
     if m > SWEEP_MAX_M:
         raise InstanceTooLargeError(
-            f"m={m} exceeds the sweep guard {SWEEP_MAX_M}: "
-            f"orbits need all (m + 1)! axis relabellings"
+            _exceeds("m", m, "sweep", SWEEP_MAX_M)
+            + ": orbits need all (m + 1)! axis relabellings"
         )
     _check_guard(m, n_max, max_cells)
     _check_assignment_size(n_max)

@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .measures import measure_of
-from .partitions import _Frozen, _check_int, _is_int
+from .partitions import _Frozen, _check_int, _entry_name, _exceeds, _is_int
 
 SQUARED_EUCLIDEAN = "sq"
 EUCLIDEAN = "euclid"
@@ -137,21 +137,6 @@ class CostMatrix(_Frozen):
     @property
     def is_exact(self):
         return self.kind != EUCLIDEAN
-
-
-def _entry_name(v):
-    """A refused cost entry as its message names it: one short line.
-
-    Its repr when that is one line of at most 40 characters, else its type
-    and size.  A long int's repr is never built: it takes quadratic time,
-    and past 4300 digits the interpreter refuses to build it.
-    """
-    if isinstance(v, int) and not -10**39 < v < 10**40:
-        return f"<{type(v).__name__} of {v.bit_length()} bits>"
-    text = repr(v)
-    if len(text) <= 40 and text.isprintable():
-        return text
-    return f"<{type(v).__name__} with a repr of {len(text)} characters>"
 
 
 _add_terms = partial(map, add)  # element-wise sum of two term lists
@@ -272,7 +257,7 @@ class _CostTable:
 
 def _check_kind(kind):
     if kind not in COST_KINDS:
-        raise ValueError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
+        raise ValueError(f"unknown cost kind {_entry_name(kind)}; expected one of {COST_KINDS}")
 
 
 AssignmentResult = namedtuple(
@@ -407,9 +392,7 @@ def solve_bruteforce(c):
 
 def _check_assignment_size(n):
     if n > ASSIGNMENT_MAX_N:
-        raise InstanceTooLargeError(
-            f"n={n} exceeds the assignment guard {ASSIGNMENT_MAX_N}"
-        )
+        raise InstanceTooLargeError(_exceeds("n", n, "assignment", ASSIGNMENT_MAX_N))
 
 
 def _shortest_augmenting_paths(costs):
@@ -659,7 +642,7 @@ def plan_cost(matching, c):
     if n != c.rows:
         raise ShapeMismatchError(f"plan is {n}x{n}, costs are {c.rows}x{c.cols}")
     if not _is_matching(matching, n):
-        raise ValueError(f"not a matching of {n} indices: {matching!r}")
+        raise ValueError(f"not a matching of {n} indices: {_entry_name(matching)}")
     costs = [row[j] for row, j in zip(c.values, matching)]
     total = sum(costs) if c.is_exact else math.fsum(costs)
     return distance_of_total(total, n, c.kind)
@@ -676,7 +659,7 @@ def plan_to_json(matching, total):
         raise NonIntegerCostsError("plan JSON carries an exact rational total")
     n = len(matching)
     if not _is_matching(matching, n):
-        raise ValueError(f"not a matching of {n} indices: {matching!r}")
+        raise ValueError(f"not a matching of {n} indices: {_entry_name(matching)}")
     return {
         "n": n,
         "entries": [
@@ -700,11 +683,15 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
     a time until a closed one gains less than -slack (a small one for
     "euclid" floats): a simple cycle at that least length, as a shorter
     closed walk would have gained < 0 first.  At `max_cycle` steps only the
-    k closed walks are taken, a k^2 step.  `max_cycle` must be an int, and
-    after the size guards the pairs' points pass the point rule
-    (`_check_points`) however short the cycles.
+    k closed walks are taken, a k^2 step.  `max_cycle` must be an int.
+    Each point is frozen to a tuple, and all pass the point rule
+    (`_check_points`) before they are sorted or counted by the size
+    guards, however short the cycles: list points work as in
+    `cost_matrix`, and a str coordinate is refused as there.
     """
     _check_int("max_cycle", max_cycle)
+    pairs = [(tuple(s), tuple(t)) for s, t in pairs]
+    _check_points([s for s, _ in pairs], [t for _, t in pairs], kind)
     pair_list = sorted(set(pairs))
     k = len(pair_list)
     longest = min(max_cycle, k)
@@ -715,7 +702,6 @@ def is_c_cyclically_monotone(pairs, kind=SQUARED_EUCLIDEAN, max_cycle=3):
             f"{k} pairs at max_cycle={max_cycle} exceed the guards of "
             f"{ASSIGNMENT_MAX_N} pairs and {_MONOTONE_MAX_WORK} steps"
         )
-    _check_points([s for s, _ in pair_list], [t for _, t in pair_list], kind)
     if longest < 2:
         return True, None
     c = cost_matrix(*zip(*pair_list), kind).values  # sources x targets

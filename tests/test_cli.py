@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import partition_ot
 from partition_ot import ASSIGNMENT_MAX_N, cli, partitions
 
 
@@ -863,3 +868,54 @@ def test_main_builds_its_parser_once(capsys, monkeypatch, fresh_parser_cache):
 
 def test_build_parser_returns_a_new_parser_each_call():
     assert cli.build_parser() is not cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# output bytes across hash seeds
+
+# Each command runs in-process in a fresh interpreter per hash seed: set and
+# dict order of strs and tuples changes with the seed, the output must not.
+SEEDED_COMMANDS = [
+    ["enumerate", "--m", "3", "--n", "6"],
+    ["symmetrize", "p42.json", "--sigma", "2 1"],
+    ["render", "p42.json", "--format", "ascii", "--sigma", "2 1"],
+    ["render", "p42.json", "--format", "svg", "--sigma", "2 1"],
+    ["render", "p42.json", "--format", "tikz", "--sigma", "2 1"],
+    ["render", "plane.json", "--format", "svg", "--sigma", "3 1 2"],
+    ["render", "plane.json", "--format", "tikz", "--sigma", "3 1 2"],
+    ["wasserstein", "p42.json", "p2211.json", "--plan"],
+    ["wasserstein", "p42.json", "p2211.json", "--cost", "euclid", "--certify"],
+    ["verify", "--theorem", "cor", "--m", "2", "--n-max", "6", "--sigma", "all",
+     "--cost", "euclid"],
+    ["verify", "--theorem", "main", "--m", "2", "--n-max", "6", "--sigma", "all",
+     "--cost", "l1"],
+]
+
+_SEEDED_RUN = """
+import contextlib, io, json, sys
+from partition_ot import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    sys.stdout.write(f"{argv} exit {code}\\n{out.getvalue()}")
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, p42, p2211, plane):
+    outputs = set()
+    for seed in ("0", "1", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(partition_ot.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEEDED_RUN, json.dumps(SEEDED_COMMANDS)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120, check=True,
+        )
+        assert proc.stderr == b""
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    text = outputs.pop().decode()
+    # every command ran: main under l1 finds violations (exit 3), the rest exit 0
+    assert [line.rsplit(" ", 1)[-1] for line in text.splitlines()
+            if line.startswith("['")] == ["0"] * 10 + ["3"]
+    assert "<svg" in text and "\\filldraw" in text and "certified:" in text

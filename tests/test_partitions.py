@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import operator
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from partition_ot import (
     MAX_DIMENSION,
+    CostMatrix,
+    EnumerationTooLargeError,
     InstanceTooLargeError,
     MultiPartition,
     NonPositiveEntryError,
@@ -18,6 +21,7 @@ from partition_ot import (
     NotMonotoneError,
     Permutation,
     SizeMismatchError,
+    UnsupportedRenderError,
     all_permutations,
     apply_permutation,
     count_partitions,
@@ -28,6 +32,9 @@ from partition_ot import (
     involutions,
     is_self_symmetric,
     measure_of,
+    optimal_total,
+    plan_to_json,
+    render,
     symmetrize,
     to_json,
     validate_array,
@@ -505,6 +512,109 @@ def test_enumeration_refuses_a_size_that_is_no_int(build, args, message):
     assert str(refused.value) == message
 
 
+HUGE = 10**5000  # past 4300 digits the interpreter refuses to build its repr
+LONG = "x" * 10**5
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: validate_array([HUGE], 1), InstanceTooLargeError,
+         "n=<int of 16610 bits> exceeds the cell guard 1600000"),
+        (lambda: validate_array([1], HUGE), InstanceTooLargeError,
+         "m=<int of 16610 bits> exceeds the dimension guard 400"),
+        (lambda: validate_array([1, HUGE], 1), NotMonotoneError,
+         "part <int of 16610 bits> at (2,) exceeds part 1 at (1,)"),
+        (lambda: validate_array([[1], HUGE], 2), NonPositiveEntryError,
+         "expected a sequence at (2,), got <int of 16610 bits>"),
+        (lambda: from_json({"m": 1, "entries": [-HUGE]}), NonPositiveEntryError,
+         "part at (1,) must be >= 1, got <int of 16610 bits>"),
+        (lambda: from_cells([(0, HUGE)]), NotDownSetError,
+         "cell (0, <int of 16610 bits>) present but (0, <int of 16610 bits>) missing"),
+        (lambda: enumerate_partitions(1, HUGE), EnumerationTooLargeError,
+         "n=<int of 16610 bits> exceeds the enumeration guard 12 for m=1; "
+         "raise the max-cells limit to override"),
+        (lambda: enumerate_partitions(1, -HUGE), ValueError,
+         "total n must be >= 1, got <int of 16610 bits>"),
+        (lambda: MultiPartition(1, (4, 2), HUGE), ValueError,
+         "n=<int of 16610 bits> is not the sum 6 of the parts"),
+        (lambda: Permutation((HUGE,)), ValueError,
+         "not a permutation of 1..1: (<int of 16610 bits>,)"),
+        (lambda: CostMatrix("euclid", [[(HUGE,)]]), ValueError,
+         "cost entry (<int of 16610 bits>,) is not an int or a float "
+         "with a finite 2^40-grid value"),
+        (lambda: verify_theorem_cor(HUGE, 1, []), InstanceTooLargeError,
+         "m=<int of 16610 bits> exceeds the sweep guard 7: "
+         "orbits need all (m + 1)! axis relabellings"),
+        (lambda: verify_theorem_cor(1, HUGE, [], max_cells=HUGE), InstanceTooLargeError,
+         "n=<int of 16610 bits> exceeds the assignment guard 2000"),
+        (lambda: Permutation([0] * 10**5), ValueError,
+         "not a permutation of 1..100000: <tuple of length 100000>"),
+        (lambda: Permutation.from_one_line(LONG), ValueError,
+         "cannot parse permutation <str with a repr of 100002 characters>"),
+        (lambda: validate_array([LONG], 1), NonPositiveEntryError,
+         "part at (1,) is not an integer: <str with a repr of 100002 characters>"),
+        (lambda: MultiPartition(1, (4, 2), LONG), ValueError,
+         "n=<str with a repr of 100002 characters> is not the sum 6 of the parts"),
+        (lambda: from_cells([(0, "a" * 10**5)]), NotDownSetError,
+         "cell <tuple of length 2> is not a 2-tuple of non-negative integers"),
+        (lambda: plan_to_json((0,) * 5000, Fraction(1)), ValueError,
+         "not a matching of 5000 indices: <tuple of length 5000>"),
+        (lambda: optimal_total(((0, 0),), ((0, 0),), LONG), ValueError,
+         "unknown cost kind <str with a repr of 100002 characters>; "
+         "expected one of ('sq', 'euclid', 'l1')"),
+        (lambda: render(validate_array([1], 1), LONG), UnsupportedRenderError,
+         "unknown format <str with a repr of 100002 characters>"),
+    ],
+    ids=["cell-guard", "dimension-guard", "monotone", "sequence", "negative-part",
+         "down-set", "enumeration-guard", "negative-n", "n-not-the-sum",
+         "permutation-int", "euclid-tuple-entry", "sweep-guard", "assignment-guard",
+         "permutation-long", "one-line-long", "part-str", "n-str", "cell-str",
+         "matching-long", "cost-kind-str", "render-format-str"],
+)
+def test_a_refusal_names_a_huge_or_long_value_in_one_short_line(call, error, message):
+    # at the parent the first 13 raised the interpreter's digit-limit
+    # ValueError from the message itself, the last 8 lines of 15-300 KB
+    with pytest.raises(Exception) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message and len(message) <= 120
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (((0, 1), (1, 0)), "((0, 1), (1, 0))"),
+        ([1, "a", None], "[1, 'a', None]"),
+        ((), "()"),
+        ([()], "[()]"),
+        (("a" * 35,), repr(("a" * 35,))),  # a repr of 40 characters
+        (("a" * 36,), "<tuple of length 1>"),  # 41
+        ((0,) * 13, repr((0,) * 13)),
+        ((0,) * 41, "<tuple of length 41>"),
+        ((HUGE,), "(<int of 16610 bits>,)"),
+        ([(HUGE,), 1], "[(<int of 16610 bits>,), 1]"),
+        ([HUGE, HUGE], "<list of length 2>"),
+        ((LONG,), "<tuple of length 1>"),
+    ],
+    ids=["nested", "list", "empty", "list-of-empty", "repr-40", "repr-41", "13-items",
+         "41-items", "huge-item", "huge-in-nested", "two-huge", "long-str"],
+)
+def test_the_namer_writes_a_tuple_or_list_item_by_item(value, name):
+    assert partitions._entry_name(value) == name
+
+
+def test_the_namer_stops_at_its_room_however_deep_the_value():
+    deep = 1
+    for _ in range(10**5):  # repr would raise RecursionError
+        deep = [deep]
+    assert partitions._entry_name(deep) == "[" * 11 + "<list of length 1>" + "]" * 11
+    shared = 1
+    for _ in range(60):  # 2^60 paths through 60 lists
+        shared = [shared, shared]
+    assert partitions._entry_name(shared) == "[<list of length 2>, <list of length 2>]"
+
+
 def test_dimension_guard():
     with pytest.raises(InstanceTooLargeError, match="m=401 exceeds the dimension guard"):
         enumerate_partitions(MAX_DIMENSION + 1, 1)
@@ -717,6 +827,16 @@ def test_apply_permutation_rotates_cells():
     assert apply_permutation(c, rot) == tuple(sorted(map(rot.apply_to_cell, c)))
     with pytest.raises(SizeMismatchError, match="size 2 cannot act on 3"):
         apply_permutation(c, SWAP)
+
+
+@pytest.mark.parametrize("cells", [(), []], ids=["tuple", "list"])
+def test_apply_permutation_refuses_no_cells_as_from_cells_does(cells):
+    # it read cells[0] and raised a raw IndexError
+    with pytest.raises(NotDownSetError) as refused:
+        apply_permutation(cells, SWAP)
+    with pytest.raises(NotDownSetError) as built:
+        from_cells(cells)
+    assert str(refused.value) == str(built.value) == "a diagram needs at least one cell"
 
 
 # ---------------------------------------------------------------------------

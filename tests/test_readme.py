@@ -3,9 +3,10 @@
 The library tour runs as a doctest.  Every `partition-ot` line of the
 command-line block runs through `cli.main`, and a trailing comment is the
 line's stdout or its exit code.  Every row of the two refusal tables runs:
-a library call must raise exactly the type its row names, and a command
-must exit with its row's code and start its stderr with the row's text.
-A row that stops being true fails here.
+a library call must raise exactly the type its row names, in one line of
+at most 120 characters, and a command must exit with its row's code and
+start its stderr with the row's text.  A row that stops being true fails
+here.
 """
 
 import doctest
@@ -97,6 +98,8 @@ def test_a_library_row_raises_what_the_readme_says(call, error, fragment):
         eval(call, namespace)
     assert type(info.value) is eval(error, namespace)
     assert fragment in str(info.value)
+    # one line of at most 120 characters, as the section says
+    assert len(str(info.value)) <= 120 and "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize(

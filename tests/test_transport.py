@@ -42,7 +42,7 @@ from partition_ot import (
     validate_array,
     wasserstein,
 )
-from partition_ot import transport
+from partition_ot import partitions, transport
 
 from downset_oracle import bruteforce_matching_total
 from lex_reference import lex_smallest_matching
@@ -306,9 +306,9 @@ def test_a_refused_entry_is_named_in_one_short_line(kind, entry, name):
 def test_an_int_entry_is_named_by_its_repr_up_to_40_characters():
     # the first ints on each side whose repr is 41 characters long
     for v in (10**40 - 1, -(10**39) + 1):
-        assert transport._entry_name(v) == repr(v) and len(repr(v)) == 40
-    assert transport._entry_name(10**40) == "<int of 133 bits>"
-    assert transport._entry_name(-(10**39)) == "<int of 130 bits>"
+        assert partitions._entry_name(v) == repr(v) and len(repr(v)) == 40
+    assert partitions._entry_name(10**40) == "<int of 133 bits>"
+    assert partitions._entry_name(-(10**39)) == "<int of 130 bits>"
 
 
 def test_euclid_cost_matrix_takes_ints_and_finite_floats():
@@ -1104,6 +1104,23 @@ def test_monotone_refuses_a_max_cycle_that_is_no_int(max_cycle):
     with pytest.raises(ValueError) as refused:
         is_c_cyclically_monotone(wide, "sq", max_cycle)
     assert str(refused.value) == f"max_cycle must be an integer, got {max_cycle!r}"
+
+
+def test_monotone_checks_the_points_before_it_sorts_them():
+    # a str coordinate raised a raw TypeError from the sort, and a list point
+    # an unhashable-type TypeError from the set, where cost_matrix takes lists
+    mixed = [((0, "a"), (0, 1)), ((0, 1), (0, 0))]
+    with pytest.raises(NonIntegerCostsError) as refused:
+        is_c_cyclically_monotone(mixed, "l1", 2)
+    with pytest.raises(NonIntegerCostsError) as built:
+        cost_matrix(*zip(*mixed), "l1")
+    assert str(refused.value) == str(built.value)
+    assert is_c_cyclically_monotone([([0, 1], [1, 0])], "l1", 2) == (True, None)
+    # the points are frozen to tuples: lists give the tuples' answer and witness
+    crossed = [((0, 0), (1, 0)), ((1, 0), (0, 0))]
+    answer = is_c_cyclically_monotone(crossed, "sq", 2)
+    assert answer[0] is False
+    assert is_c_cyclically_monotone([[list(s), list(t)] for s, t in crossed], "sq", 2) == answer
 
 
 @pytest.mark.parametrize("kind", ["sq", "l1"])
